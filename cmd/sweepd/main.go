@@ -51,7 +51,6 @@
 //	POST   /api/v1/workers/leases/{id}/heartbeat
 //	POST   /api/v1/workers/leases/{id}/complete
 //	POST   /api/v1/workers/leases/{id}/fail
-//	GET    /api/v1/workers
 //	GET    /metrics
 //
 // Observability: one metrics registry spans every layer — HTTP

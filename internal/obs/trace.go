@@ -8,17 +8,13 @@ import (
 	"log/slog"
 	"os"
 	"sync/atomic"
-	"time"
 )
 
 // Tracing here is deliberately small: a request ID that rides the
 // context (minted by the HTTP middleware from X-Request-ID, or fresh),
-// a SpanContext carrying trace and parent-span IDs across process
-// boundaries (X-Trace-ID / X-Parent-Span), and a Span that stamps a
-// start time and logs a structured finish line with the measured
-// duration. Cross-process span records are retained by the in-daemon
-// Collector (collect.go); the log stream alone is still enough to
-// reconstruct a job or lease lifecycle without it.
+// and a SpanContext carrying trace and parent-span IDs across process
+// boundaries (X-Trace-ID / X-Parent-Span). The span records themselves
+// are retained by the in-daemon Collector (collect.go).
 
 // RequestIDHeader is the HTTP header request IDs arrive on and are
 // echoed back through.
@@ -110,46 +106,4 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 // for library code whose caller wired no logger.
 func DiscardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-}
-
-// Span is one timed unit of work (a job run, a lease lifetime). Start
-// with StartSpan, optionally mark intermediate Events, and End it to
-// log the structured finish line with the measured duration.
-type Span struct {
-	logger *slog.Logger
-	name   string
-	start  time.Time
-}
-
-// StartSpan begins a span. attrs are slog key-value pairs attached to
-// every line the span emits; a request ID on ctx is attached
-// automatically. The clock read is telemetry only — span timing never
-// feeds back into evaluation.
-func StartSpan(ctx context.Context, logger *slog.Logger, name string, attrs ...any) *Span {
-	if logger == nil {
-		logger = DiscardLogger()
-	}
-	if id := RequestID(ctx); id != "" {
-		attrs = append(attrs, "request_id", id)
-	}
-	if sc := SpanContextFrom(ctx); sc.Valid() {
-		attrs = append(attrs, "trace_id", sc.TraceID)
-	}
-	l := logger.With(attrs...)
-	l.Debug(name + " started")
-	return &Span{logger: l, name: name, start: time.Now()}
-}
-
-// Event logs one intermediate structured event on the span.
-func (s *Span) Event(msg string, attrs ...any) {
-	s.logger.Info(msg, attrs...)
-}
-
-// End logs the span's finish line with its duration and returns the
-// duration. Extra attrs (an outcome state, an error) join the line.
-func (s *Span) End(attrs ...any) time.Duration {
-	d := time.Since(s.start)
-	attrs = append(attrs, "duration", d)
-	s.logger.Info(s.name+" finished", attrs...)
-	return d
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"log/slog"
-	"strings"
 	"testing"
 )
 
@@ -53,39 +51,6 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	}
 	if id := NewSpanID(); len(id) != 16 {
 		t.Fatalf("span ID %q has length %d, want 16", id, len(id))
-	}
-}
-
-func TestSpanLogsTraceID(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	ctx := WithSpanContext(context.Background(), SpanContext{TraceID: "trace-9"})
-	StartSpan(ctx, logger, "lease").End()
-	if !strings.Contains(buf.String(), "trace_id=trace-9") {
-		t.Fatalf("span log missing trace_id:\n%s", buf.String())
-	}
-}
-
-func TestSpanLogsDurationAndRequestID(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	ctx := WithRequestID(context.Background(), "rid-1")
-
-	sp := StartSpan(ctx, logger, "job run", "job_id", "job-000001")
-	sp.Event("chunk leased", "lease_id", "lease-000001")
-	d := sp.End("state", "done")
-	if d < 0 {
-		t.Fatalf("span duration = %v", d)
-	}
-
-	out := buf.String()
-	for _, want := range []string{
-		"job run started", "chunk leased", "job run finished",
-		"job_id=job-000001", "request_id=rid-1", "state=done", "duration=",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("span log missing %q:\n%s", want, out)
-		}
 	}
 }
 

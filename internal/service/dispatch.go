@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/internal/sweep"
 )
 
@@ -66,15 +64,6 @@ type Lease struct {
 	// without a trace collector; workers then skip span emission.
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
-}
-
-// WorkerView is one row of the fleet listing.
-type WorkerView struct {
-	Name         string    `json:"name"`
-	LastSeen     time.Time `json:"last_seen"`
-	ActiveLeases int       `json:"active_leases"`
-	ChunksDone   int       `json:"chunks_done"`
-	PointsDone   int       `json:"points_done"`
 }
 
 // distRun is the assembly state of one distributed job: records filled
@@ -275,7 +264,7 @@ func (d *dispatcher) requeueExpiredLocked(now time.Time) {
 	// been heard from in a long while are dropped from the stats table.
 	// Default sweepworker names embed the PID, so a crash-looping or
 	// autoscaled fleet mints new names forever; without eviction the
-	// daemon's memory and GET /api/v1/workers would grow for life.
+	// daemon's memory and GET /api/v1/fleet/stats would grow for life.
 	for name, ws := range d.fleet {
 		if now.Sub(ws.lastSeen) > fleetRetention {
 			delete(d.fleet, name)
@@ -590,37 +579,6 @@ func (m *Manager) FailLease(leaseID, reason string) error {
 	return nil
 }
 
-// WorkerFleet lists every worker that ever leased from this manager,
-// sorted by name.
-func (m *Manager) WorkerFleet() []WorkerView {
-	d := m.dispatch
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.clock()
-	active := make(map[string]int)
-	for id, ref := range d.leases {
-		t := ref.t
-		if t.leaseID == id && !t.done && !t.cancelled && !now.After(t.expires) {
-			active[ref.worker]++
-		}
-	}
-	out := make([]WorkerView, 0, len(d.fleet))
-	for name, ws := range d.fleet {
-		out = append(out, WorkerView{
-			Name:         name,
-			LastSeen:     ws.lastSeen,
-			ActiveLeases: active[name],
-			ChunksDone:   ws.chunksDone,
-			PointsDone:   ws.pointsDone,
-		})
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
-	return out
-}
-
 // chunkRuns groups a sorted list of still-to-compute grid indices into
 // contiguous chunks of at most size points. Cache hits punch holes in
 // the grid, so each run between holes is partitioned independently by
@@ -638,62 +596,6 @@ func chunkRuns(todo []int, size int) []sweep.Chunk {
 		i = k
 	}
 	return out
-}
-
-// runDistributed executes one job by serving its chunks to workers
-// instead of evaluating in-process. Cached points are filled daemon-side
-// and never travel; the rest are chunked, dispatched, and assembled in
-// grid order, so the final Result is byte-identical to a single-node
-// sweep.Run of the same scenario, budget and seed. The whole grid is
-// one dispatchBatch call — the same path an optimization job walks once
-// per generation.
-func (m *Manager) runDistributed(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = m.opts.Clock()
-	started, submitted := j.started, j.submitted
-	j.mu.Unlock()
-	defer cancel()
-	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
-	m.recordPhase(j, "queued", submitted, started, nil)
-
-	recs, cached, err := m.dispatchBatch(ctx, j, j.pts)
-	m.dispatch.endJob(j)
-	asmStart := m.opts.Clock()
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finished = m.opts.Clock()
-	switch {
-	case err == nil:
-		res := &sweep.Result{
-			Scenario:       j.scenarioName,
-			Description:    j.scenario.Description,
-			Seed:           j.req.Seed,
-			Budget:         j.budget.Name,
-			Records:        recs,
-			CachedPoints:   cached,
-			ComputedPoints: len(recs) - cached,
-		}
-		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.feasible)
-		j.state = StateDone
-		j.result = res
-		m.recordPhase(j, "assemble", asmStart, j.finished, nil)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCancelled
-		j.errMsg = "cancelled: " + err.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	m.noteFinishedLocked(j)
 }
 
 // dispatchBatch evaluates one batch of points over the worker fleet: a
@@ -762,17 +664,4 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 		return nil, cached, ctx.Err()
 	}
 	return dr.recs, cached, nil
-}
-
-// distEvaluator returns the search.Evaluator an optimization job uses
-// in distributed mode: each generation is one dispatchBatch over the
-// worker fleet, exactly the treatment a whole sweep grid gets in
-// runDistributed. The NSGA-II coordinator blocks between generations
-// by construction (selection needs every record), so a per-generation
-// barrier costs nothing. Chunks left pending or leased after a
-// cancelled generation are withdrawn by runOptimize's deferred endJob.
-func (m *Manager) distEvaluator(j *job) search.Evaluator {
-	return func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
-		return m.dispatchBatch(ctx, j, pts)
-	}
 }

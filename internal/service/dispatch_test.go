@@ -152,17 +152,17 @@ func TestDistributedLifecycle(t *testing.T) {
 
 	// Fleet view: the zombie contributed nothing; w1+w2 computed the
 	// whole grid.
-	var fleetView []WorkerView
-	getJSON(t, srv, "/api/v1/workers", &fleetView)
+	var fleetView FleetStats
+	getJSON(t, srv, "/api/v1/fleet/stats", &fleetView)
 	points := map[string]int{}
-	for _, wv := range fleetView {
+	for _, wv := range fleetView.Workers {
 		points[wv.Name] = wv.PointsDone
 	}
 	if points["zombie"] != 0 {
 		t.Fatalf("zombie completed %d points", points["zombie"])
 	}
 	if points["w1"]+points["w2"] != total {
-		t.Fatalf("fleet view: w1+w2 = %d points, want %d (%+v)", points["w1"]+points["w2"], total, fleetView)
+		t.Fatalf("fleet view: w1+w2 = %d points, want %d (%+v)", points["w1"]+points["w2"], total, fleetView.Workers)
 	}
 
 	stopWorkers()
@@ -335,11 +335,76 @@ func TestLateCompletionCreditsOriginalWorker(t *testing.T) {
 	}
 
 	points := map[string]int{}
-	for _, wv := range m.WorkerFleet() {
+	for _, wv := range m.FleetStats().Workers {
 		points[wv.Name] = wv.PointsDone
 	}
 	if points["slow"] != len(recs) || points["fast"] != 0 {
 		t.Fatalf("fleet credit slow=%d fast=%d, want %d and 0", points["slow"], points["fast"], len(recs))
+	}
+}
+
+// TestTerminalJobsReleaseGrid: a job drops its point grid once terminal
+// — done through the fleet, or cancelled while queued — so the retained
+// job table pins only results, which Result and the records stream
+// keep serving.
+func TestTerminalJobsReleaseGrid(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Distributed: true, LeaseTTL: time.Minute})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	grid := func(id string) []sweep.Point {
+		m.mu.Lock()
+		j := m.jobs[id]
+		m.mu.Unlock()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.pts
+	}
+
+	// No worker yet: the first job holds the only scheduler slot, so the
+	// second stays queued until it is cancelled.
+	running, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, running.ID, StateRunning)
+	queued, err := m.Submit(Request{Scenario: "embedded-box", Budget: "analytic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid(queued.ID) == nil {
+		t.Fatal("queued job holds no grid")
+	}
+	if err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, queued.ID, StateCancelled)
+	if grid(queued.ID) != nil {
+		t.Error("job cancelled while queued still holds its grid")
+	}
+
+	wctx, stopWorker := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		RunWorker(wctx, m, WorkerOptions{Name: "w", Poll: 5 * time.Millisecond, Workers: 1})
+	}()
+	defer func() {
+		stopWorker()
+		<-workerDone
+	}()
+	done := waitState(t, m, running.ID, StateDone)
+	if grid(running.ID) != nil {
+		t.Error("done job still holds its grid")
+	}
+	res, err := m.Result(running.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, _ := getRecords(t, srv, running.ID)
+	if len(res.Records) != done.Progress.Total || len(streamed) != done.Progress.Total {
+		t.Fatalf("done job serves %d result / %d streamed records, want %d",
+			len(res.Records), len(streamed), done.Progress.Total)
 	}
 }
 

@@ -45,13 +45,12 @@ import (
 //
 // The worker tier (cmd/sweepworker) drives four more endpoints, live
 // only in distributed mode (a non-distributed daemon answers 204 to
-// lease requests, 410 to the leases/{id}/* calls, and an empty fleet):
+// lease requests and 410 to the leases/{id}/* calls):
 //
 //	POST   /api/v1/workers/lease                 lease a chunk -> 200 Lease | 204 no work
 //	POST   /api/v1/workers/leases/{id}/heartbeat extend the lease -> 200 | 410 gone
 //	POST   /api/v1/workers/leases/{id}/complete  post chunk records -> 200 | 410 | 422
 //	POST   /api/v1/workers/leases/{id}/fail      report an unevaluable chunk -> 200 | 410
-//	GET    /api/v1/workers                       fleet view: per-worker counters
 //
 // Observability rides on every route: each handler is registered
 // through instrument, which wraps it in obs.HTTPMetrics middleware
@@ -251,13 +250,6 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	instrument(mux, hm, rt, "GET /api/v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		fleet := m.WorkerFleet()
-		if fleet == nil {
-			fleet = []WorkerView{}
-		}
-		writeJSON(w, http.StatusOK, fleet)
 	})
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/pareto", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")

@@ -141,8 +141,11 @@ type job struct {
 	req      Request
 	scenario sweep.Scenario
 	budget   sweep.Budget
-	pts      []sweep.Point
-	total    int
+	// pts is a sweep's grid (nil for optimizations). It is released when
+	// the job reaches a terminal state, so retained jobs keep only their
+	// result; written under mu, read by execute once the job runs.
+	pts   []sweep.Point
+	total int
 	// scenarioName is the scenario string in records, leases and cache
 	// keys: the grid scenario's name for sweeps, "optimize/<space>" for
 	// optimizations.
@@ -153,8 +156,8 @@ type job struct {
 	// pre-pass and chunk completions (Keyer is immutable).
 	keyer *sweep.Keyer
 	// searchOpts holds the normalized optimization parameters
-	// (kind "optimize"); Seed/Workers/Evaluate/OnGeneration are filled
-	// in at run time.
+	// (kind "optimize"); Evaluate and OnGeneration are filled in at run
+	// time.
 	searchOpts search.Options
 	// specJSON is the canonical rendering of a spec-defined sweep's
 	// specification ("" otherwise): it rides grid leases so stateless
@@ -313,9 +316,12 @@ type Manager struct {
 	met    *serviceMetrics
 	log    *slog.Logger
 
-	// runSweep is sweep.Run, replaceable by tests that need jobs with
-	// controlled timing.
-	runSweep func(ctx context.Context, sc sweep.Scenario, cfg sweep.Config) (*sweep.Result, error)
+	// evaluate runs one batch of a job's points — the whole grid of a
+	// sweep, one generation of an optimization — and returns the records
+	// in batch order plus how many came from the cache. New sets it once:
+	// dispatchBatch in distributed mode, evaluateInProcess otherwise.
+	// Tests replace it to control job timing.
+	evaluate func(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error)
 
 	// dispatch is non-nil in distributed mode: it owns the chunk queue
 	// and lease table served to workers.
@@ -360,11 +366,10 @@ func New(opts Options) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		opts:     opts,
-		met:      newServiceMetrics(reg),
-		log:      logger,
-		jobs:     make(map[string]*job),
-		runSweep: sweep.Run,
+		opts: opts,
+		met:  newServiceMetrics(reg),
+		log:  logger,
+		jobs: make(map[string]*job),
 	}
 	m.ctx = ctx
 	m.cancel = cancel
@@ -393,8 +398,10 @@ func New(opts Options) *Manager {
 			_, running := m.InFlight()
 			emit(float64(running))
 		})
+	m.evaluate = m.evaluateInProcess
 	if opts.Distributed {
 		m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
+		m.evaluate = m.dispatchBatch
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < opts.JobWorkers; i++ {
@@ -438,7 +445,6 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 	if userSpec != nil {
 		j.specName = userSpec.Name
 	}
-	var pts []sweep.Point
 	switch kind {
 	case KindSweep:
 		var sc sweep.Scenario
@@ -456,10 +462,10 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 				return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
 		}
-		pts = sc.Points()
+		j.pts = sc.Points()
 		j.scenario = sc
 		j.scenarioName = sc.Name
-		j.total = len(pts)
+		j.total = len(j.pts)
 	case KindOptimize:
 		var sp search.Space
 		var objs []search.Objective
@@ -519,11 +525,6 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 	if m.opts.Trace.Enabled() {
 		j.traceID = obs.NewTraceID()
 		j.rootSpanID = obs.NewSpanID()
-	}
-	if m.dispatch != nil {
-		// Only the dispatcher reads the grid; in-process jobs must not
-		// pin it in the retained-jobs table for their whole lifetime.
-		j.pts = pts
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
@@ -793,6 +794,7 @@ func (m *Manager) Cancel(id string) error {
 		j.state = StateCancelled
 		j.errMsg = "cancelled while queued"
 		j.finished = m.opts.Clock()
+		j.pts = nil
 		m.noteFinishedLocked(j)
 	case StateRunning:
 		j.cancel()
@@ -813,6 +815,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			j.state = StateCancelled
 			j.errMsg = "cancelled at shutdown"
 			j.finished = m.opts.Clock()
+			j.pts = nil
 			m.noteFinishedLocked(j)
 		}
 		j.mu.Unlock()
@@ -849,19 +852,18 @@ func (m *Manager) worker() {
 		}
 		j := m.queue.pop()
 		m.mu.Unlock()
-		switch {
-		case j.kind == KindOptimize:
-			m.runOptimize(j)
-		case m.dispatch != nil:
-			m.runDistributed(j)
-		default:
-			m.run(j)
-		}
+		m.execute(j)
 	}
 }
 
-// run executes one job through the sweep engine.
-func (m *Manager) run(j *job) {
+// execute drives one job from queued to a terminal state; it is the only
+// place a job starts running and the only place its outcome is decided.
+// Evaluation goes through m.evaluate in batches — one for a sweep's
+// grid, one per generation for an optimization — so in-process and
+// fleet jobs share this lifecycle and differ only in that evaluator.
+// The outcome rule: no error is done, an error under a cancelled
+// context is cancelled, anything else failed.
+func (m *Manager) execute(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Cancelled while waiting in the queue.
@@ -872,12 +874,19 @@ func (m *Manager) run(j *job) {
 	j.cancel = cancel
 	j.state = StateRunning
 	j.started = m.opts.Clock()
-	started, submitted := j.started, j.submitted
+	started, submitted, pts := j.started, j.submitted, j.pts
 	j.mu.Unlock()
 	defer cancel()
 	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
 	m.recordPhase(j, "queued", submitted, started, nil)
 
+	// The coordinator calls evaluate on this goroutine, so batchEnd needs
+	// no lock; it anchors the assemble span.
+	var batchEnd time.Time
+	evaluate := func(ctx context.Context, batch []sweep.Point) ([]sweep.Record, int, error) {
+		defer func() { batchEnd = m.opts.Clock() }()
+		return m.evaluate(ctx, j, batch)
+	}
 	res, err := func() (res *sweep.Result, err error) {
 		// A panicking point evaluation (sweep.Map re-raises worker
 		// panics) must fail this job, not take down the scheduler
@@ -888,30 +897,40 @@ func (m *Manager) run(j *job) {
 				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
 			}
 		}()
-		return m.runSweep(ctx, j.scenario, sweep.Config{
-			Workers:  j.req.Workers,
-			Seed:     j.req.Seed,
-			Budget:   j.budget,
-			Cache:    m.opts.Cache,
-			Feasible: j.feasible,
-			OnPoint: func(_ int, cached bool) {
-				j.done.Add(1)
-				if cached {
-					j.cached.Add(1)
-				}
-				m.met.point(cached)
-			},
-		})
+		if j.kind == KindOptimize {
+			return m.optimize(ctx, j, evaluate)
+		}
+		recs, cached, err := evaluate(ctx, pts)
+		if err != nil {
+			return nil, err
+		}
+		res = &sweep.Result{
+			Scenario:       j.scenarioName,
+			Description:    j.scenario.Description,
+			Seed:           j.req.Seed,
+			Budget:         j.budget.Name,
+			Records:        recs,
+			CachedPoints:   cached,
+			ComputedPoints: len(recs) - cached,
+		}
+		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.feasible)
+		return res, nil
 	}()
+	if m.dispatch != nil {
+		// Whatever way the run ends, withdraw any chunks still queued or
+		// leased and forget the job's lease ids.
+		m.dispatch.endJob(j)
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = m.opts.Clock()
-	m.recordPhase(j, "evaluate", started, j.finished, nil)
+	j.pts = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
 		j.result = res
+		m.recordPhase(j, "assemble", batchEnd, j.finished, nil)
 	case ctx.Err() != nil:
 		j.state = StateCancelled
 		j.errMsg = "cancelled: " + ctx.Err().Error()
@@ -922,97 +941,58 @@ func (m *Manager) run(j *job) {
 	m.noteFinishedLocked(j)
 }
 
-// runOptimize executes one optimization job through the adaptive
-// search engine. The NSGA-II coordinator always runs on this scheduler
-// goroutine; only the per-generation evaluation changes with the
-// deployment — in-process through sweep.EvaluatePoints, or chunked over
-// the worker fleet in distributed mode. Either way the result is a
-// pure function of the request, so the two deployments answer
-// byte-identically.
-func (m *Manager) runOptimize(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = m.opts.Clock()
-	started, submitted := j.started, j.submitted
-	j.mu.Unlock()
-	defer cancel()
-	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
-	m.recordPhase(j, "queued", submitted, started, nil)
+// evaluateInProcess is the evaluator of a non-distributed manager: one
+// batch through the local sweep engine, read through the shared cache,
+// feeding the job's progress counters, booked as one evaluate span.
+func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
+	start := m.opts.Clock()
+	defer func() { m.recordPhase(j, "evaluate", start, m.opts.Clock(), nil) }()
+	return sweep.EvaluatePoints(ctx, j.scenarioName, pts, sweep.Config{
+		Workers: j.req.Workers,
+		Seed:    j.req.Seed,
+		Budget:  j.budget,
+		Cache:   m.opts.Cache,
+		OnPoint: func(_ int, cached bool) {
+			j.done.Add(1)
+			if cached {
+				j.cached.Add(1)
+			}
+			m.met.point(cached)
+		},
+	})
+}
 
+// optimize runs an optimization job's NSGA-II coordinator on the
+// scheduler goroutine, each generation one evaluate batch. The result
+// is a pure function of the request whichever evaluator serves the
+// batches, so in-process and fleet deployments answer byte-identically.
+func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Context, []sweep.Point) ([]sweep.Record, int, error)) (*sweep.Result, error) {
 	opts := j.searchOpts
 	opts.OnGeneration = func(g search.Generation) {
 		j.mu.Lock()
 		j.gens = append(j.gens, g)
 		j.mu.Unlock()
 	}
-	if m.dispatch != nil {
-		opts.Evaluate = m.distEvaluator(j)
-		// Whatever way the run ends, withdraw any chunks still queued or
-		// leased and forget the job's lease ids.
-		defer m.dispatch.endJob(j)
-	} else {
-		opts.Evaluate = search.InProcessEvaluator(
-			opts.Space, opts.Seed, opts.Budget, opts.Workers, m.opts.Cache,
-			func(_ int, cached bool) {
-				j.done.Add(1)
-				if cached {
-					j.cached.Add(1)
-				}
-				m.met.point(cached)
-			})
+	opts.Evaluate = func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
+		return evaluate(ctx, pts)
 	}
-
-	res, err := func() (res *search.Result, err error) {
-		// Contain panics exactly like the sweep path: a blown-up point
-		// evaluation fails this job, not the daemon.
-		defer func() {
-			if r := recover(); r != nil {
-				m.met.jobPanics.Inc()
-				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
-			}
-		}()
-		return search.Optimize(ctx, opts)
-	}()
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finished = m.opts.Clock()
-	if m.dispatch == nil {
-		// Distributed generations already booked one dispatch span
-		// each; in-process evaluation is one opaque phase.
-		m.recordPhase(j, "evaluate", started, j.finished, nil)
+	res, err := search.Optimize(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case err == nil:
-		j.state = StateDone
-		// The optimizer's archive is shaped like a sweep result —
-		// records plus front indices — so every result endpoint
-		// (records stream, Pareto front) serves both job kinds.
-		j.result = &sweep.Result{
-			Scenario:       j.scenarioName,
-			Description:    opts.Space.Description,
-			Seed:           res.Seed,
-			Budget:         res.Budget,
-			Records:        res.Records,
-			ParetoIndices:  res.FrontIndices,
-			CachedPoints:   res.CachedPoints,
-			ComputedPoints: res.ComputedPoints,
-		}
-	case ctx.Err() != nil:
-		j.state = StateCancelled
-		j.errMsg = "cancelled: " + ctx.Err().Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	m.noteFinishedLocked(j)
+	// The optimizer's archive is shaped like a sweep result — records
+	// plus front indices — so every result endpoint (records stream,
+	// Pareto front) serves both job kinds.
+	return &sweep.Result{
+		Scenario:       j.scenarioName,
+		Description:    opts.Space.Description,
+		Seed:           res.Seed,
+		Budget:         res.Budget,
+		Records:        res.Records,
+		ParetoIndices:  res.FrontIndices,
+		CachedPoints:   res.CachedPoints,
+		ComputedPoints: res.ComputedPoints,
+	}, nil
 }
 
 // Generations returns an optimization job's per-generation summaries

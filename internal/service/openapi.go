@@ -41,7 +41,6 @@ var routeDocs = map[string]string{
 	"GET /api/v1/jobs/{id}/trace":                "The job's retained trace spans as NDJSON.",
 	"GET /api/v1/jobs/{id}/timeline":             "Derived phase timeline with per-chunk turnarounds.",
 	"GET /api/v1/fleet/stats":                    "Per-worker throughput profiles and the straggler baseline.",
-	"GET /api/v1/workers":                        "Fleet view: per-worker lease counters.",
 	"POST /api/v1/workers/lease":                 "Lease one chunk of distributed work.",
 	"POST /api/v1/workers/leases/{id}/heartbeat": "Extend a lease before its TTL expires.",
 	"POST /api/v1/workers/leases/{id}/complete":  "Post a leased chunk's evaluated records.",

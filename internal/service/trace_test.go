@@ -224,6 +224,71 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 	if fs.TurnaroundSamples != wantChunks {
 		t.Fatalf("fleet turnaround samples = %d, want %d", fs.TurnaroundSamples, wantChunks)
 	}
+
+	// An optimization walks the same pipeline: one dispatch batch per
+	// generation between queued and assemble. Only the phases are
+	// checked: its untraced breeding between generations is a share of
+	// the wall time that depends on CPU load.
+	optCtx, stopOptWorker := context.WithCancel(context.Background())
+	optWorkerDone := make(chan struct{})
+	go func() {
+		defer close(optWorkerDone)
+		RunWorker(optCtx, m, WorkerOptions{Name: "w3", Poll: 5 * time.Millisecond, Workers: 1})
+	}()
+	ov := submit(t, srv, optimizeReq(11), http.StatusAccepted)
+	pollDone(t, srv, ov.ID)
+	stopOptWorker()
+	<-optWorkerDone
+	checkTimeline(t, m, ov.ID, "dispatch", 3, 0)
+}
+
+// TestInProcessTraceTimeline: an in-process job is as legible as a
+// fleet job — one evaluate span per batch (the grid of a sweep, each
+// generation of an optimization) between queued and assemble.
+func TestInProcessTraceTimeline(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Trace: obs.NewCollector(256)})
+	defer m.Shutdown(context.Background())
+	// Coverage counts only spans: manycore's evaluations outweigh the
+	// untraced moments around them (job start, span bookkeeping, the
+	// optimizer's breeding between generations); a sub-millisecond job's
+	// would not.
+	sv, err := m.Submit(Request{Scenario: "manycore", Budget: "analytic", Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oreq := optimizeReq(5)
+	oreq.Space = "manycore"
+	oreq.Population = 4
+	oreq.Workers = 1
+	ov, err := m.Submit(oreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, sv.ID, StateDone)
+	waitState(t, m, ov.ID, StateDone)
+	checkTimeline(t, m, sv.ID, "evaluate", 1, 0.95)
+	checkTimeline(t, m, ov.ID, "evaluate", 3, 0.95)
+}
+
+// checkTimeline asserts a done job's timeline lists one queued phase,
+// batches phases named batch and one assemble phase, and that its spans
+// explain at least minCoverage of the job's wall time.
+func checkTimeline(t *testing.T, m *Manager, id, batch string, batches int, minCoverage float64) {
+	t.Helper()
+	tl, err := m.JobTimeline(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, p := range tl.Phases {
+		count[p.Name]++
+	}
+	if count["queued"] != 1 || count[batch] != batches || count["assemble"] != 1 {
+		t.Fatalf("job %s phases = %v, want queued 1, %s %d, assemble 1", id, count, batch, batches)
+	}
+	if tl.SpanCoverage < minCoverage {
+		t.Fatalf("job %s span coverage = %.3f, want >= %.2f (wall %.6fs)", id, tl.SpanCoverage, minCoverage, tl.WallSeconds)
+	}
 }
 
 // TestStragglerDetection drives the dispatcher with a stub clock: eight
