@@ -459,15 +459,14 @@ type stackCacheKey struct {
 }
 
 // stackCache memoises compiled candidate topologies per (module count,
-// traffic pattern). Compiling a mesh costs O(routers^2 x hops) —
-// profiles put it at essentially 100% of an analytic sweep — while a
-// design point only needs one O(channels) latency evaluation per
-// candidate, and sweep grids revisit the same handful of module counts
-// for every point. Mesh and Compiled are immutable and safe to share
-// across sweep workers, and candidate construction is deterministic, so
-// cached and freshly built candidates are indistinguishable; a bounded
-// FIFO keeps an optimizer walking a wide StackModules range from
-// pinning hundreds of large compiled meshes in memory.
+// traffic pattern). Compiling a mesh walks every router pair's route,
+// O(modules^2 + routers^2 x hops), while a design point only needs one
+// O(channels) latency evaluation per candidate, and sweep grids revisit
+// the same handful of module counts for every point. Mesh and Compiled
+// are immutable and safe to share across sweep workers, and candidate
+// construction is deterministic, so cached and freshly built candidates
+// are indistinguishable; a bounded FIFO keeps an optimizer walking a
+// wide StackModules range from holding every mesh it ever compiled.
 var stackCache = struct {
 	sync.Mutex
 	entries map[stackCacheKey][]stackCandidate
@@ -475,7 +474,8 @@ var stackCache = struct {
 }{entries: map[stackCacheKey][]stackCandidate{}}
 
 // stackCacheCap bounds the cached module counts; scenario grids use a
-// handful, and one 512-module entry is a few MB.
+// handful. An entry holds its meshes' channel and direction tables and
+// per-channel loads, all O(channels): a few hundred KB at 512 modules.
 const stackCacheCap = 32
 
 // compiledCandidates returns the compiled topology contenders for the

@@ -5,30 +5,23 @@ import (
 	"math"
 )
 
-// routeClass aggregates every source/destination module pair that shares
-// one router-to-router route: the traffic share is summed so the latency
-// average visits each distinct route once instead of once per module
-// pair.
-type routeClass struct {
-	chans []int
-	share float64
-}
-
-// Compiled is a Model whose all-pairs routes and per-unit channel loads
-// have been computed once. Evaluating a latency-versus-injection curve
-// through a Compiled model costs O(channels + route classes) per point
-// instead of O(modules^2 x hops), which is what makes wide design-space
-// sweeps over large meshes practical.
+// Compiled is a Model whose all-pairs routing has been folded into
+// per-unit channel loads and one hop-weighted traffic share. Evaluating a
+// latency-versus-injection curve through a Compiled model costs
+// O(channels) per point instead of O(modules^2 x hops), which is what
+// makes wide design-space sweeps over large meshes practical; compiling
+// walks every router pair's route once, into one reused buffer.
 //
 // A Compiled value is immutable after construction and safe for
 // concurrent use by multiple goroutines.
 type Compiled struct {
-	m              Model
-	loadsPerUnit   []float64
-	capacity       []float64 // per-channel relative capacity
-	classes        []routeClass
-	colocatedShare float64 // traffic that never leaves its router
-	totalShare     float64
+	m            Model
+	loadsPerUnit []float64
+	capacity     []float64 // per-channel relative capacity
+	// hopShare is Σ share·(routers crossed) over every module pair: a
+	// co-located pair crosses one router, a routed pair hops+1.
+	hopShare   float64
+	totalShare float64
 }
 
 // Compile freezes the model's routing into a reusable evaluator.
@@ -59,36 +52,22 @@ func (m Model) Compile() *Compiled {
 			c.totalShare += share
 			rd := topo.RouterOf(d)
 			if rs == rd {
-				c.colocatedShare += share
+				c.hopShare += share
 				continue
 			}
 			byPair[rs*routers+rd] += share
 		}
 	}
+	var chans []int
 	for key, share := range byPair {
 		if share == 0 {
 			continue
 		}
-		chans := topo.RouteChannels(key/routers, key%routers)
-		c.classes = append(c.classes, routeClass{chans: chans, share: share})
+		chans = topo.AppendRouteChannels(chans[:0], key/routers, key%routers)
 		for _, ch := range chans {
 			c.loadsPerUnit[ch] += share
 		}
-	}
-
-	// Re-slice every class's channel list out of one contiguous arena:
-	// the latency loop streams the classes in order, so packing their
-	// channel indices back to back keeps its cache behaviour uniform
-	// instead of depending on where RouteChannels' per-route allocations
-	// happened to land on the heap.
-	total := 0
-	for _, rc := range c.classes {
-		total += len(rc.chans)
-	}
-	arena := make([]int, 0, total)
-	for i := range c.classes {
-		arena = append(arena, c.classes[i].chans...)
-		c.classes[i].chans = arena[len(arena)-len(c.classes[i].chans):]
+		c.hopShare += share * float64(len(chans)+1)
 	}
 	return c
 }
@@ -97,8 +76,8 @@ func (m Model) Compile() *Compiled {
 func (c *Compiled) Model() Model { return c.m }
 
 // WithService returns an evaluator that shares this one's compiled
-// routes and channel loads (which do not depend on the service model)
-// but applies a different queueing formula.
+// channel loads (which do not depend on the service model) but applies
+// a different queueing formula.
 func (c *Compiled) WithService(s ServiceModel) *Compiled {
 	cc := *c
 	cc.m.Service = s
@@ -126,34 +105,23 @@ func (c *Compiled) SaturationRate() float64 {
 
 // AvgLatency returns the mean packet latency in clock cycles at the
 // given injection rate; the second result is false at saturation.
+//
+// A routed packet pays the router delay per router crossed plus the
+// waiting time of every channel on its route, so summing over module
+// pairs gives hopShare·rd plus each channel's wait weighted by the
+// traffic share routed through it — its per-unit load.
 func (c *Compiled) AvgLatency(injectionRate float64) (float64, bool) {
-	return c.avgLatency(injectionRate, make([]float64, len(c.loadsPerUnit)))
-}
-
-// avgLatency is AvgLatency with a caller-owned per-channel scratch
-// buffer (len(loadsPerUnit)), so curve evaluation does not allocate
-// per point; Compiled itself stays immutable and concurrency-safe.
-func (c *Compiled) avgLatency(injectionRate float64, wait []float64) (float64, bool) {
 	if injectionRate < 0 {
 		panic(fmt.Sprintf("analytic: negative injection rate %g", injectionRate))
 	}
 	eff := c.m.efficiency()
+	sum := c.hopShare * c.m.routerDelay()
 	for i, l := range c.loadsPerUnit {
 		rho := l * injectionRate / (eff * c.capacity[i])
 		if rho >= 1 {
 			return math.Inf(1), false
 		}
-		wait[i] = c.m.waiting(rho)
-	}
-
-	rd := c.m.routerDelay()
-	sum := c.colocatedShare * rd
-	for _, rc := range c.classes {
-		lat := float64(len(rc.chans)+1) * rd
-		for _, ch := range rc.chans {
-			lat += wait[ch]
-		}
-		sum += rc.share * lat
+		sum += l * c.m.waiting(rho)
 	}
 	if c.totalShare == 0 {
 		return 0, true
@@ -170,9 +138,8 @@ func (c *Compiled) ZeroLoadLatency() float64 {
 // LatencyCurve samples AvgLatency over the given injection rates.
 func (c *Compiled) LatencyCurve(rates []float64) []CurvePoint {
 	out := make([]CurvePoint, len(rates))
-	wait := make([]float64, len(c.loadsPerUnit))
 	for i, r := range rates {
-		lat, ok := c.avgLatency(r, wait)
+		lat, ok := c.AvgLatency(r)
 		out[i] = CurvePoint{InjectionRate: r, LatencyCycles: lat, Saturated: !ok}
 	}
 	return out

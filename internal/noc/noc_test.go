@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -79,16 +80,12 @@ func TestDimensionOrderRoute(t *testing.T) {
 	src := m.RouterAt(0, 0, 0)
 	dst := m.RouterAt(2, 3, 1)
 	path := m.Route(src, dst)
-	// X first (2 hops), then Y (3), then Z (1): 7 channels, 8 routers.
-	if len(path) != 7 {
-		t.Fatalf("path length = %d, want 7", len(path))
+	// Z first (1 hop), then X (2), then Y (3): 6 channels, 7 routers.
+	want := []int{src, m.RouterAt(0, 0, 1), m.RouterAt(1, 0, 1), m.RouterAt(2, 0, 1),
+		m.RouterAt(2, 1, 1), m.RouterAt(2, 2, 1), dst}
+	if !slices.Equal(path, want) {
+		t.Fatalf("path = %v, want %v", path, want)
 	}
-	if path[0] != src || path[len(path)-1] != dst {
-		t.Fatal("path endpoints wrong")
-	}
-	// Verify X-then-Y-then-Z order... wait: Z is routed before the final
-	// XY walk only when a pillar detour applies; with pillars everywhere
-	// the order is X, Y after Z? Check monotone per-dimension progress.
 	for i := 1; i < len(path); i++ {
 		if m.ChannelID(path[i-1], path[i]) < 0 {
 			t.Fatalf("non-adjacent step %d -> %d", path[i-1], path[i])
@@ -96,6 +93,111 @@ func TestDimensionOrderRoute(t *testing.T) {
 	}
 	if m.Hops(src, dst) != 6 {
 		t.Errorf("hops = %d, want 6 (Manhattan distance)", m.Hops(src, dst))
+	}
+}
+
+// routeFamilies covers every topology family the design pipeline
+// compiles (2D, star, 3D, ciliated), ragged extents, and
+// pillar-constrained meshes whose layer changes detour.
+func routeFamilies() []*Mesh {
+	return []*Mesh{
+		NewMesh2D(5, 3),
+		NewStarMesh(3, 2, 4),
+		NewMesh3D(3, 4, 3),
+		NewCiliated3D(3, 3, 2, 2),
+		NewMesh3D(1, 1, 4),
+		NewPillarMesh3D(4, 4, 2, 2),
+		NewPillarMesh3D(5, 4, 3, 3),
+	}
+}
+
+// referenceRoute is the router-path walk that channel routes used to be
+// derived from: step one router at a time through the optional pillar
+// detour, then Z, then X, then Y.
+func referenceRoute(m *Mesh, src, dst int) []int {
+	x, y, z := m.Coords(src)
+	dx, dy, dz := m.Coords(dst)
+	path := []int{src}
+	step := func(nx, ny, nz int) {
+		x, y, z = nx, ny, nz
+		path = append(path, m.RouterAt(x, y, z))
+	}
+	walkXY := func(tx, ty int) {
+		for x != tx {
+			if x < tx {
+				step(x+1, y, z)
+			} else {
+				step(x-1, y, z)
+			}
+		}
+		for y != ty {
+			if y < ty {
+				step(x, y+1, z)
+			} else {
+				step(x, y-1, z)
+			}
+		}
+	}
+	if z != dz && !m.hasPillar(x, y) {
+		walkXY(x-x%m.verticalEvery, y-y%m.verticalEvery)
+	}
+	for z != dz {
+		if z < dz {
+			step(x, y, z+1)
+		} else {
+			step(x, y, z-1)
+		}
+	}
+	walkXY(dx, dy)
+	return path
+}
+
+// The channel walk must reproduce the channels of the router-path walk
+// for every router pair, and Route and Hops must agree with both.
+func TestAppendRouteChannelsMatchesPathWalk(t *testing.T) {
+	for _, m := range routeFamilies() {
+		var buf []int
+		for s := 0; s < m.NumRouters(); s++ {
+			for d := 0; d < m.NumRouters(); d++ {
+				path := referenceRoute(m, s, d)
+				want := make([]int, 0, len(path)-1)
+				for i := 1; i < len(path); i++ {
+					id := m.ChannelID(path[i-1], path[i])
+					if id < 0 {
+						t.Fatalf("%s: reference step %d -> %d has no channel", m.Name(), path[i-1], path[i])
+					}
+					want = append(want, id)
+				}
+				buf = m.AppendRouteChannels(buf[:0], s, d)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("%s: AppendRouteChannels(%d, %d) = %v, want %v", m.Name(), s, d, buf, want)
+				}
+				if got := m.RouteChannels(s, d); !slices.Equal(got, want) {
+					t.Fatalf("%s: RouteChannels(%d, %d) = %v, want %v", m.Name(), s, d, got, want)
+				}
+				route := m.Route(s, d)
+				if !slices.Equal(route, path) {
+					t.Fatalf("%s: Route(%d, %d) = %v, want %v", m.Name(), s, d, route, path)
+				}
+				if h := m.Hops(s, d); h != len(route)-1 {
+					t.Fatalf("%s: Hops(%d, %d) = %d, len(Route)-1 = %d", m.Name(), s, d, h, len(route)-1)
+				}
+			}
+		}
+	}
+}
+
+func TestAppendRouteChannelsAllocFree(t *testing.T) {
+	m := NewPillarMesh3D(8, 8, 4, 2)
+	buf := make([]int, 0, 64)
+	n := m.NumRouters()
+	allocs := testing.AllocsPerRun(100, func() {
+		for s := 0; s < n; s += 13 {
+			buf = m.AppendRouteChannels(buf[:0], s, n-1-s)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendRouteChannels with a reused buffer: %g allocs/run, want 0", allocs)
 	}
 }
 

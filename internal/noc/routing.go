@@ -1,70 +1,33 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Route returns the router sequence from src to dst under deterministic
-// dimension-order (X, then Y, then Z) routing. On pillar-constrained
-// meshes, packets needing a layer change first detour in-plane to the
-// pillar of the source's block. The result includes both endpoints;
-// src == dst yields a single-element path.
-func (m *Mesh) Route(src, dst int) []int {
+// routePlan is the shape of the dimension-order route from src to dst:
+// the signed leg lengths in walk order and their sum, the hop count.
+// Packets needing a layer change on a pillar-constrained mesh first
+// detour in-plane (X, then Y) to the TSV pillar of the source's block;
+// every route then crosses layers (Z) and finishes in-plane (X, then Y).
+type routePlan struct {
+	detourX, detourY, z, x, y int
+	hops                      int
+}
+
+func (m *Mesh) planRoute(src, dst int) routePlan {
 	if src < 0 || src >= m.NumRouters() || dst < 0 || dst >= m.NumRouters() {
 		panic(fmt.Sprintf("noc: route endpoints (%d, %d) out of range", src, dst))
 	}
 	x, y, z := m.Coords(src)
 	dx, dy, dz := m.Coords(dst)
-
-	// The hop count is known up front (dimension-order walk plus the
-	// optional pillar detour), so the path is built in one allocation —
-	// route compilation visits every router pair and repeated append
-	// growth dominated its profile.
 	px, py := x, y
-	hops := 0
 	if z != dz && !m.hasPillar(x, y) {
 		px, py = x-x%m.verticalEvery, y-y%m.verticalEvery
-		hops += absInt(x-px) + absInt(y-py)
 	}
-	hops += absInt(z-dz) + absInt(px-dx) + absInt(py-dy)
-	path := make([]int, 1, hops+1)
-	path[0] = src
-
-	step := func(nx, ny, nz int) {
-		x, y, z = nx, ny, nz
-		path = append(path, m.RouterAt(x, y, z))
-	}
-	walkXY := func(tx, ty int) {
-		for x != tx {
-			if x < tx {
-				step(x+1, y, z)
-			} else {
-				step(x-1, y, z)
-			}
-		}
-		for y != ty {
-			if y < ty {
-				step(x, y+1, z)
-			} else {
-				step(x, y-1, z)
-			}
-		}
-	}
-
-	if px != x || py != y {
-		// Detour to the source block's TSV pillar first (the target was
-		// computed with the hop count above).
-		walkXY(px, py)
-	}
-	if z != dz {
-		for z != dz {
-			if z < dz {
-				step(x, y, z+1)
-			} else {
-				step(x, y, z-1)
-			}
-		}
-	}
-	walkXY(dx, dy)
-	return path
+	p := routePlan{detourX: px - x, detourY: py - y, z: dz - z, x: dx - px, y: dy - py}
+	p.hops = absInt(p.detourX) + absInt(p.detourY) + absInt(p.z) + absInt(p.x) + absInt(p.y)
+	return p
 }
 
 func absInt(v int) int {
@@ -74,22 +37,67 @@ func absInt(v int) int {
 	return v
 }
 
-// RouteChannels returns the channel ids traversed from src to dst.
-func (m *Mesh) RouteChannels(src, dst int) []int {
-	path := m.Route(src, dst)
-	out := make([]int, 0, len(path)-1)
-	for i := 1; i < len(path); i++ {
-		id := m.ChannelID(path[i-1], path[i])
-		if id < 0 {
-			panic(fmt.Sprintf("noc: route step %d -> %d has no channel", path[i-1], path[i]))
-		}
-		out = append(out, id)
-	}
-	return out
+// AppendRouteChannels appends the channel ids of the dimension-order
+// route from src to dst to buf and returns the extended slice. It walks
+// the route's legs (optional pillar detour, then Z, then X, then Y)
+// through the per-router direction table without building the router
+// path, so a caller reusing buf across router pairs does not allocate.
+func (m *Mesh) AppendRouteChannels(buf []int, src, dst int) []int {
+	p := m.planRoute(src, dst)
+	buf = slices.Grow(buf, p.hops)
+	strideY, strideZ := m.dims[0], m.dims[0]*m.dims[1]
+	r := src
+	buf, r = m.appendLeg(buf, r, p.detourX, 1)
+	buf, r = m.appendLeg(buf, r, p.detourY, strideY)
+	buf, r = m.appendLeg(buf, r, p.z, strideZ)
+	buf, r = m.appendLeg(buf, r, p.x, 1)
+	buf, _ = m.appendLeg(buf, r, p.y, strideY)
+	return buf
 }
 
+// appendLeg appends the channels of |n| single-dimension steps from
+// router r, each moving the router id by sign(n)*stride, and returns the
+// router reached.
+func (m *Mesh) appendLeg(buf []int, r, n, stride int) ([]int, int) {
+	if n == 0 {
+		return buf, r
+	}
+	if n < 0 {
+		n, stride = -n, -stride
+	}
+	slot := 0
+	for slot < m.numDeltas && m.moveDeltas[slot] != stride {
+		slot++
+	}
+	for ; n > 0; n-- {
+		if slot == m.numDeltas || m.chanDir[r*6+slot] < 0 {
+			panic(fmt.Sprintf("noc: route step %d -> %d has no channel", r, r+stride))
+		}
+		buf = append(buf, int(m.chanDir[r*6+slot]))
+		r += stride
+	}
+	return buf, r
+}
+
+// Route returns the router sequence from src to dst under the
+// deterministic dimension-order routing of AppendRouteChannels. The
+// result includes both endpoints; src == dst yields a single-element
+// path.
+func (m *Mesh) Route(src, dst int) []int {
+	path := make([]int, 1, m.Hops(src, dst)+1)
+	path[0] = src
+	path = m.AppendRouteChannels(path, src, dst)
+	for i := 1; i < len(path); i++ {
+		path[i] = m.channels[path[i]].To
+	}
+	return path
+}
+
+// RouteChannels returns the channel ids traversed from src to dst.
+func (m *Mesh) RouteChannels(src, dst int) []int { return m.AppendRouteChannels(nil, src, dst) }
+
 // Hops returns the channel count of the route from src to dst.
-func (m *Mesh) Hops(src, dst int) int { return len(m.Route(src, dst)) - 1 }
+func (m *Mesh) Hops(src, dst int) int { return m.planRoute(src, dst).hops }
 
 // Metrics summarises a topology's structural properties (the Fig. 7
 // comparison).

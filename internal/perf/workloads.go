@@ -130,7 +130,7 @@ func nocCompiledFig8() Workload {
 	const curvePoints = 16
 	return Workload{
 		Name:           "noc-compiled-fig8",
-		MaxAllocsPerOp: 700000,
+		MaxAllocsPerOp: 100,
 		Description:    "compile Fig. 8 meshes (8x8, 4x4x4, 8x8x8) and evaluate 16-point latency curves",
 		Units:          "points",
 		Run: func(ctx context.Context, seed uint64) (float64, error) {

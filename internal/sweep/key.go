@@ -12,7 +12,16 @@ import (
 // budget, seed) — a new pipeline stage, a different sub-stream layout, a
 // model fix — must bump it, so stale store entries miss instead of
 // silently serving results the current engine would not reproduce.
-const EngineVersion = 2
+//
+// History of the deliberate bumps since engine 2:
+//   - 3: the compiled NoC evaluator sums latency per channel (hop-weighted
+//     traffic share times the router delay, plus each channel's load
+//     times its waiting time) instead of per route class. The algebra is
+//     exact, but the summation order changed, so noc_latency_cycles moves
+//     in its last bits (at most 3.8e-13 relative over the registered
+//     scenarios and 16-319-module grids). Topology choice, saturation
+//     and every other record field are byte-identical to engine 2.
+const EngineVersion = 3
 
 // keyEnvelope is the canonical content of a point's address. Marshalled
 // with encoding/json the field order is fixed by declaration order, so
