@@ -75,7 +75,9 @@
 // SIGINT or SIGTERM triggers a graceful drain: the listener stops, every
 // queued job is cancelled, running jobs have their contexts cancelled,
 // and the store is flushed before exit. The drain logs how many jobs
-// were queued and running at the signal and how long the drain took.
+// were queued and running at the signal and how long the drain took;
+// it waits up to half a second for worker lease requests the daemon is
+// holding for work to answer.
 package main
 
 import (

@@ -56,7 +56,7 @@ import (
 func main() {
 	daemon := flag.String("daemon", "http://localhost:8080", "base URL of the sweepd daemon")
 	name := flag.String("name", "", "worker name in leases and the fleet view (default hostname-pid)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "idle sleep between lease attempts")
+	poll := flag.Duration("poll", 500*time.Millisecond, "least interval between lease attempts that find no work (sweepd holds each one up to 500ms), and the retry delay after errors")
 	workers := flag.Int("workers", runtime.NumCPU(), "local evaluation pool per chunk")
 	verbose := flag.Bool("v", false, "debug-level logs")
 	flag.Parse()

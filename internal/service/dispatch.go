@@ -135,8 +135,7 @@ const (
 )
 
 // workerStats accumulates one worker's fleet-view counters and its
-// throughput profile — the per-worker heterogeneity signal the
-// adaptive scheduler (ROADMAP item 4) will consume.
+// throughput profile, served per worker by GET /api/v1/fleet/stats.
 type workerStats struct {
 	lastSeen   time.Time
 	chunksDone int
@@ -193,9 +192,13 @@ type dispatcher struct {
 
 	mu      sync.Mutex
 	pending []*chunkTask
-	leases  map[string]leaseRef
-	fleet   map[string]*workerStats
-	seq     uint64
+	// ready is closed, and replaced by a fresh channel, whenever chunks
+	// enter pending: every lease request parked on the old channel
+	// wakes and races for the new work.
+	ready  chan struct{}
+	leases map[string]leaseRef
+	fleet  map[string]*workerStats
+	seq    uint64
 	// fleetTurns is a bounded ring of recent chunk turnaround seconds
 	// across the whole fleet — the straggler rule's median base.
 	fleetTurns    []float64
@@ -209,6 +212,7 @@ func newDispatcher(ttl time.Duration, clock func() time.Time, met *serviceMetric
 		met:    met,
 		log:    log,
 		trace:  trace,
+		ready:  make(chan struct{}),
 		leases: make(map[string]leaseRef),
 		fleet:  make(map[string]*workerStats),
 	}
@@ -243,22 +247,46 @@ func (d *dispatcher) enqueue(j *job, dr *distRun, chunks []sweep.Chunk, pts []sw
 	for _, c := range chunks {
 		d.pending = append(d.pending, &chunkTask{job: j, dr: dr, chunk: c, pts: pts[c.Start:c.End]})
 	}
+	if len(chunks) > 0 {
+		d.wakeLocked()
+	}
+}
+
+// wakeLocked releases every lease request parked on the current ready
+// channel. Callers hold d.mu and have just added chunks to pending.
+func (d *dispatcher) wakeLocked() {
+	close(d.ready)
+	d.ready = make(chan struct{})
 }
 
 // requeueExpiredLocked moves every chunk whose lease outlived its TTL
 // back to the pending queue. The expired lease id stays in the table so
 // a slow worker's late completion is still accepted (see chunkTask).
-func (d *dispatcher) requeueExpiredLocked(now time.Time) {
+// It returns the earliest expiry among the leases still live (zero when
+// none is), so a parked lease request can wake in time to re-queue it.
+func (d *dispatcher) requeueExpiredLocked(now time.Time) (next time.Time) {
+	requeued := false
 	for id, ref := range d.leases {
 		t := ref.t
-		if t.leaseID == id && !t.done && !t.cancelled && now.After(t.expires) {
+		if t.leaseID != id || t.done || t.cancelled {
+			continue
+		}
+		if !now.After(t.expires) {
+			if next.IsZero() || t.expires.Before(next) {
+				next = t.expires
+			}
+		} else {
 			t.leaseID = ""
 			d.pending = append(d.pending, t)
+			requeued = true
 			d.met.lease("expired")
 			d.log.Warn("lease expired, chunk re-queued",
 				"lease_id", id, "job_id", t.job.id, "worker", ref.worker,
 				"chunk_start", t.chunk.Start, "chunk_end", t.chunk.End)
 		}
+	}
+	if requeued {
+		d.wakeLocked()
 	}
 	// Piggyback fleet eviction on the same sweep: workers that have not
 	// been heard from in a long while are dropped from the stats table.
@@ -270,6 +298,7 @@ func (d *dispatcher) requeueExpiredLocked(now time.Time) {
 			delete(d.fleet, name)
 		}
 	}
+	return next
 }
 
 func (d *dispatcher) touchLocked(worker string, now time.Time) *workerStats {
@@ -309,21 +338,77 @@ func (d *dispatcher) endJob(j *job) {
 	}
 }
 
+// leaseHold is how long a lease request that finds nothing pending
+// parks in the daemon, waiting for work, before it answers "no work".
+// A chunk enqueued meanwhile goes to a parked worker at once. It equals
+// sweepworker's default -poll, so an idle default fleet sends one lease
+// RPC per worker per -poll interval, and it sits far below the worker
+// client's 30 s HTTP timeout and sweepd's 30 s drain deadline.
+const leaseHold = 500 * time.Millisecond
+
 // Lease hands the oldest pending chunk to the named worker, first
-// re-queueing any chunks whose leases expired. ok is false when no work
-// is pending — the worker should poll again later. It is the in-process
-// implementation of WorkerAPI; cmd/sweepworker reaches it through the
-// HTTP API.
+// re-queueing any chunks whose leases expired. When nothing is pending
+// it waits up to leaseHold for work to arrive; ok is false when none
+// did. It is the in-process implementation of WorkerAPI; cmd/sweepworker
+// reaches the same code through the HTTP API.
 func (m *Manager) Lease(worker string) (Lease, bool, error) {
+	return m.lease(context.Background(), worker)
+}
+
+// lease is Lease bounded by ctx as well: the HTTP handler passes the
+// request's context, so a worker that hangs up releases its handler.
+// A parked request returns empty once leaseHold has passed, ctx ends or
+// Shutdown cancels the manager. It also wakes when a live lease expires,
+// so a dead worker's chunk is re-queued on time rather than at the end
+// of the hold. One woken by new work that another worker takes first
+// parks again for the rest of its hold.
+func (m *Manager) lease(ctx context.Context, worker string) (Lease, bool, error) {
 	d := m.dispatch
 	if d == nil {
 		return Lease{}, false, nil
 	}
+	deadline := time.Now().Add(leaseHold)
+	var timer *time.Timer
+	for {
+		l, ok, ready, expiry := d.take(worker)
+		if ok {
+			return l, true, nil
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return Lease{}, false, nil
+		}
+		if expiry > 0 && expiry < wait {
+			wait = expiry
+		}
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
+		} else {
+			timer.Reset(wait)
+		}
+		select {
+		case <-ready:
+		case <-timer.C:
+		case <-ctx.Done():
+			return Lease{}, false, nil
+		case <-m.ctx.Done():
+			return Lease{}, false, nil
+		}
+	}
+}
+
+// take issues a lease on the oldest live pending chunk. When there is
+// none it returns the ready channel the caller parks on, plus how long
+// until the earliest live lease expires (zero when none is live). d.mu
+// is held from the pending check to reading the channel, so no enqueue
+// can slip between them unnoticed.
+func (d *dispatcher) take(worker string) (Lease, bool, <-chan struct{}, time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()
 	d.touchLocked(worker, now)
-	d.requeueExpiredLocked(now)
+	next := d.requeueExpiredLocked(now)
 	for len(d.pending) > 0 {
 		t := d.pending[0]
 		d.pending = d.pending[1:]
@@ -365,9 +450,15 @@ func (m *Manager) Lease(worker string) (Lease, bool, error) {
 			// with the lease.
 			l.Points = t.pts
 		}
-		return l, true, nil
+		return l, true, nil, 0
 	}
-	return Lease{}, false, nil
+	var expiry time.Duration
+	if !next.IsZero() {
+		// A lease expiring exactly now is re-queued only once the clock
+		// is past it: check again a moment later.
+		expiry = max(next.Sub(now), time.Millisecond)
+	}
+	return Lease{}, false, d.ready, expiry
 }
 
 // Heartbeat extends a live lease by the TTL and returns the new
@@ -462,9 +553,9 @@ func (m *Manager) complete(leaseID string, recs []sweep.Record, spans []obs.Span
 		"lease_id", leaseID, "job_id", t.job.id, "worker", ref.worker,
 		"points", t.chunk.Len(), "turnaround", now.Sub(ref.issuedAt))
 	if straggler {
-		// The structured event and the counter are the signal store
-		// ROADMAP item 4's speculative re-lease will act on; today they
-		// make a slow node visible the moment it lags the fleet.
+		// The structured event and the counter make a slow node visible
+		// the moment it lags the fleet; the chunk itself is not
+		// re-leased until its lease expires.
 		d.met.stragglers.Inc()
 		d.log.Warn("straggler chunk",
 			"lease_id", leaseID, "job_id", t.job.id, "worker", ref.worker,
@@ -609,19 +700,6 @@ func chunkRuns(todo []int, size int) []sweep.Chunk {
 // finished channel is closed before any state read off dr, so the
 // recheck is race-free.
 func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
-	batchStart := m.opts.Clock()
-	var cachedCount int
-	if j.traceID != "" {
-		// One dispatch span per batch: the whole grid for a sweep, one
-		// generation for an optimization — leased-and-evaluating wall
-		// time, cache pre-pass included.
-		defer func() {
-			m.recordPhase(j, "dispatch", batchStart, m.opts.Clock(), map[string]string{
-				"points": strconv.Itoa(len(pts)),
-				"cached": strconv.Itoa(cachedCount),
-			})
-		}()
-	}
 	dr := &distRun{recs: make([]sweep.Record, len(pts)), finished: make(chan struct{})}
 	var todo []int
 	for i, pt := range pts {
@@ -638,7 +716,6 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 	}
 	dr.remaining = len(todo)
 	cached := len(pts) - len(todo)
-	cachedCount = cached
 	m.met.points(true, cached)
 
 	if len(todo) == 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,8 +166,7 @@ func TestDistributedLifecycle(t *testing.T) {
 		t.Fatalf("fleet view: w1+w2 = %d points, want %d (%+v)", points["w1"]+points["w2"], total, fleetView.Workers)
 	}
 
-	stopWorkers()
-	wg.Wait()
+	stopHTTPWorkers(m, stopWorkers, &wg)
 }
 
 // TestDistributedCacheReuse proves the daemon-side store integration:
@@ -516,12 +516,17 @@ func TestFailLeaseFailsJob(t *testing.T) {
 }
 
 // TestWorkerEndpointsHTTPStatus pins the wire contract of the worker
-// endpoints: 204 on no work, 400 on bad bodies, 410 on dead leases.
+// endpoints: 204 on no work, 400 on bad bodies, 410 on dead leases. An
+// idle lease request, over HTTP or in-process, answers "no work" only
+// after the daemon held it for the full leaseHold. Parallel: those
+// holds are the test's whole wall time.
 func TestWorkerEndpointsHTTPStatus(t *testing.T) {
+	t.Parallel()
 	m := New(Options{JobWorkers: 1, Distributed: true, LeaseTTL: time.Minute})
 	defer m.Shutdown(context.Background())
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
+	inProcess := leaseAsync(m, "idle-in-process")
 
 	post := func(path, body string) int {
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
@@ -531,8 +536,16 @@ func TestWorkerEndpointsHTTPStatus(t *testing.T) {
 		defer resp.Body.Close()
 		return resp.StatusCode
 	}
+	asked := time.Now()
 	if code := post("/api/v1/workers/lease", `{"worker":"idle"}`); code != http.StatusNoContent {
 		t.Fatalf("idle lease = %d, want 204", code)
+	}
+	if held := time.Since(asked); held < leaseHold || held > 2*leaseHold {
+		t.Fatalf("idle lease answered after %v, want about %v", held, leaseHold)
+	}
+	if r := <-inProcess; r.err != nil || r.ok || r.elapsed < leaseHold || r.elapsed > 2*leaseHold {
+		t.Fatalf("idle in-process lease = (%+v, %v, %v) after %v, want empty after about %v",
+			r.l, r.ok, r.err, r.elapsed, leaseHold)
 	}
 	if code := post("/api/v1/workers/lease", `{}`); code != http.StatusBadRequest {
 		t.Fatalf("nameless lease = %d, want 400", code)
@@ -546,6 +559,242 @@ func TestWorkerEndpointsHTTPStatus(t *testing.T) {
 	if code := post("/api/v1/workers/leases/lease-000042/fail", `{"error":"x"}`); code != http.StatusGone {
 		t.Fatalf("dead fail = %d, want 410", code)
 	}
+}
+
+// leaseResult is one Manager.Lease call's outcome, timed from the call.
+type leaseResult struct {
+	worker  string
+	l       Lease
+	ok      bool
+	err     error
+	elapsed time.Duration
+}
+
+// leaseAsync calls m.Lease on its own goroutine and delivers the
+// outcome on the returned channel.
+func leaseAsync(m *Manager, worker string) <-chan leaseResult {
+	out := make(chan leaseResult, 1)
+	go func() {
+		start := time.Now()
+		l, ok, err := m.Lease(worker)
+		out <- leaseResult{worker: worker, l: l, ok: ok, err: err, elapsed: time.Since(start)}
+	}()
+	return out
+}
+
+// waitParked waits until the named worker's lease request has reached
+// the dispatcher, which records every worker it sees.
+func waitParked(t *testing.T, m *Manager, worker string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		m.dispatch.mu.Lock()
+		_, seen := m.dispatch.fleet[worker]
+		m.dispatch.mu.Unlock()
+		if seen {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("lease request of %s never reached the dispatcher", worker)
+}
+
+// TestParkedLeaseWakesOnSubmit: a lease request that found no work is
+// held by the daemon and handed the first chunk of a job submitted
+// meanwhile, long before its hold runs out.
+func TestParkedLeaseWakesOnSubmit(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Distributed: true, ChunkPoints: 100, LeaseTTL: time.Minute})
+	defer m.Shutdown(context.Background())
+	got := leaseAsync(m, "parked")
+	waitParked(t, m, "parked")
+	submitted := time.Now()
+	v, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || !r.ok || r.l.JobID != v.ID {
+		t.Fatalf("parked lease = (%+v, %v, %v), want a chunk of %s", r.l, r.ok, r.err, v.ID)
+	}
+	if wait := time.Since(submitted); wait >= leaseHold/2 {
+		t.Fatalf("parked lease took %v after the submit, want well inside the %v hold", wait, leaseHold)
+	}
+}
+
+// TestParkedLeaseRaceLoserKeepsWaiting: two parked workers, one chunk.
+// Exactly one gets it; the other parks again instead of answering
+// empty, and takes the next chunk that arrives.
+func TestParkedLeaseRaceLoserKeepsWaiting(t *testing.T) {
+	m := New(Options{JobWorkers: 2, Distributed: true, ChunkPoints: 100, LeaseTTL: time.Minute})
+	defer m.Shutdown(context.Background())
+	a := leaseAsync(m, "a")
+	waitParked(t, m, "a")
+	b := leaseAsync(m, "b")
+	waitParked(t, m, "b")
+	first, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var win leaseResult
+	loser := b
+	select {
+	case win = <-a:
+	case win = <-b:
+		loser = a
+	}
+	if win.err != nil || !win.ok || win.l.JobID != first.ID {
+		t.Fatalf("winner = (%+v, %v, %v), want a chunk of %s", win.l, win.ok, win.err, first.ID)
+	}
+	select {
+	case r := <-loser:
+		t.Fatalf("race loser %s returned (%+v, %v, %v) before new work arrived", r.worker, r.l, r.ok, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	second, err := m.Submit(Request{Scenario: "embedded-box", Budget: "analytic", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lose := <-loser
+	if lose.err != nil || !lose.ok || lose.l.JobID != second.ID {
+		t.Fatalf("loser %s = (%+v, %v, %v), want a chunk of %s", lose.worker, lose.l, lose.ok, lose.err, second.ID)
+	}
+	if lose.elapsed >= leaseHold {
+		t.Fatalf("loser waited %v, past its %v hold", lose.elapsed, leaseHold)
+	}
+}
+
+// TestParkedLeaseTakesExpiredChunk: a parked request wakes when a live
+// lease expires, so a dead worker's chunk is re-leased at its TTL and
+// not only when the hold runs out.
+func TestParkedLeaseTakesExpiredChunk(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Distributed: true, ChunkPoints: 100, LeaseTTL: 50 * time.Millisecond})
+	defer m.Shutdown(context.Background())
+	if _, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	dead := leaseEventually(t, m, "dead")
+	r := <-leaseAsync(m, "rescuer")
+	if r.err != nil || !r.ok || r.l.Start != dead.Start || r.l.End != dead.End {
+		t.Fatalf("rescuer = (%+v, %v, %v), want the expired chunk [%d,%d)", r.l, r.ok, r.err, dead.Start, dead.End)
+	}
+	if r.elapsed >= leaseHold {
+		t.Fatalf("expired chunk re-leased after %v, want about the 50ms TTL", r.elapsed)
+	}
+}
+
+// TestShutdownReleasesParkedLeases: Shutdown answers every parked lease
+// request at once instead of letting it wait out its hold.
+func TestShutdownReleasesParkedLeases(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Distributed: true, LeaseTTL: time.Minute})
+	got := leaseAsync(m, "parked")
+	waitParked(t, m, "parked")
+	stopped := time.Now()
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || r.ok {
+		t.Fatalf("lease at shutdown = (%+v, %v, %v), want empty", r.l, r.ok, r.err)
+	}
+	if wait := time.Since(stopped); wait >= leaseHold/2 {
+		t.Fatalf("parked lease outlived shutdown by %v", wait)
+	}
+}
+
+// TestCancelledHTTPLeaseReleasesHandler: a worker that hangs up on a
+// parked lease request frees its handler at once — the server's Close,
+// which waits for every handler, does not wait out the hold.
+func TestCancelledHTTPLeaseReleasesHandler(t *testing.T) {
+	m := New(Options{JobWorkers: 1, Distributed: true, LeaseTTL: time.Minute})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/api/v1/workers/lease",
+		strings.NewReader(`{"worker":"hangup"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	waitParked(t, m, "hangup")
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lease request error = %v, want context.Canceled", err)
+	}
+	closed := time.Now()
+	srv.Close()
+	if wait := time.Since(closed); wait >= leaseHold/2 {
+		t.Fatalf("server close waited %v for a cancelled lease handler", wait)
+	}
+}
+
+// idleAPI is a WorkerAPI that never has work. Each Lease call is
+// counted and answers "no work" after hold, which is zero for a daemon
+// that does not hold requests.
+type idleAPI struct {
+	hold  time.Duration
+	calls atomic.Int64
+}
+
+func (a *idleAPI) Lease(string) (Lease, bool, error) {
+	a.calls.Add(1)
+	time.Sleep(a.hold)
+	return Lease{}, false, nil
+}
+func (a *idleAPI) Heartbeat(string) (time.Duration, error) { return 0, ErrLeaseGone }
+func (a *idleAPI) Complete(string, []sweep.Record) error   { return ErrLeaseGone }
+func (a *idleAPI) FailLease(string, string) error          { return ErrLeaseGone }
+
+// TestRunWorkerPacesEmptyLeases: an empty lease is followed by the rest
+// of the poll interval, never a full one on top of the daemon's hold.
+// Against a daemon that answers at once the worker still polls every
+// Poll rather than spinning; against a holding daemon it asks again
+// right away.
+func TestRunWorkerPacesEmptyLeases(t *testing.T) {
+	const (
+		poll   = 25 * time.Millisecond
+		window = 250 * time.Millisecond
+	)
+	// Both daemons run side by side for one window.
+	instant, holding := &idleAPI{}, &idleAPI{hold: poll}
+	ctx, cancel := context.WithTimeout(context.Background(), window)
+	defer cancel()
+	errs := make(chan error, 2)
+	for _, api := range []*idleAPI{instant, holding} {
+		go func() { errs <- RunWorker(ctx, api, WorkerOptions{Name: "idle", Poll: poll}) }()
+	}
+	for range 2 {
+		if err := <-errs; !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("RunWorker = %v, want the window's deadline", err)
+		}
+	}
+	limit := int64((window+poll-1)/poll) + 1
+	if n := instant.calls.Load(); n > limit || n < 2 {
+		t.Fatalf("instant-empty daemon got %d lease calls in %v at poll %v, want 2..%d", n, window, poll, limit)
+	}
+	// Holding each request for a full Poll and then sleeping another
+	// Poll would allow at most window/(2*poll)+1 calls.
+	if n, slept := holding.calls.Load(), int64(window/(2*poll))+1; n <= slept {
+		t.Fatalf("holding daemon got %d lease calls in %v, want about %d (no sleep after a held request)", n, window, limit-1)
+	}
+}
+
+// stopHTTPWorkers shuts m down, then cancels the HTTP worker loops and
+// waits for them. Shutdown answers the lease requests parked in the
+// daemon at once, so the workers stop without waiting out a hold, and
+// every handler has returned by the time its worker has.
+func stopHTTPWorkers(m *Manager, stop context.CancelFunc, wg *sync.WaitGroup) {
+	m.Shutdown(context.Background())
+	stop()
+	wg.Wait()
 }
 
 // leaseEventually polls Manager.Lease until the scheduler has enqueued

@@ -47,7 +47,7 @@ import (
 // only in distributed mode (a non-distributed daemon answers 204 to
 // lease requests and 410 to the leases/{id}/* calls):
 //
-//	POST   /api/v1/workers/lease                 lease a chunk -> 200 Lease | 204 no work
+//	POST   /api/v1/workers/lease                 lease a chunk -> 200 Lease | 204 none within the 500ms hold
 //	POST   /api/v1/workers/leases/{id}/heartbeat extend the lease -> 200 | 410 gone
 //	POST   /api/v1/workers/leases/{id}/complete  post chunk records -> 200 | 410 | 422
 //	POST   /api/v1/workers/leases/{id}/fail      report an unevaluable chunk -> 200 | 410
@@ -196,7 +196,7 @@ func NewHandler(m *Manager) http.Handler {
 				fmt.Errorf("lease request needs a worker name"), nil)
 			return
 		}
-		l, ok, err := m.Lease(req.Worker)
+		l, ok, err := m.lease(r.Context(), req.Worker)
 		if err != nil {
 			writeAPIError(w, err)
 			return

@@ -21,8 +21,10 @@ import (
 // paper-baseline at smoke budget, poll the job to completion, stream its
 // records, fetch the Pareto front, prove a resubmission is served
 // entirely from cache, and shut down gracefully with an in-flight job
-// cancelled.
+// cancelled. Parallel: its seconds of smoke-budget evaluation overlap
+// the tests that wait out a lease hold.
 func TestDaemonLifecycle(t *testing.T) {
+	t.Parallel()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

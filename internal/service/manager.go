@@ -880,11 +880,34 @@ func (m *Manager) execute(j *job) {
 	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
 	m.recordPhase(j, "queued", submitted, started, nil)
 
-	// The coordinator calls evaluate on this goroutine, so batchEnd needs
-	// no lock; it anchors the assemble span.
+	// Each batch is one phase span: dispatch (leased and evaluated by
+	// the fleet, cache pre-pass included) or evaluate (in-process). The
+	// spans share their boundaries with the phases around them: the
+	// first batch starts where the queued phase ended and the last one
+	// ends where assemble starts, so a scheduling stall in between is
+	// booked to a phase instead of leaking out of the trace. The
+	// coordinator calls evaluate on this goroutine, so batchEnd needs no
+	// lock.
 	var batchEnd time.Time
-	evaluate := func(ctx context.Context, batch []sweep.Point) ([]sweep.Record, int, error) {
-		defer func() { batchEnd = m.opts.Clock() }()
+	evaluate := func(ctx context.Context, batch []sweep.Point) (recs []sweep.Record, cached int, err error) {
+		start := m.opts.Clock()
+		if batchEnd.IsZero() {
+			start = started
+		}
+		defer func() {
+			batchEnd = m.opts.Clock()
+			if j.traceID == "" {
+				return
+			}
+			name, attrs := "evaluate", map[string]string(nil)
+			if m.dispatch != nil {
+				name, attrs = "dispatch", map[string]string{
+					"points": strconv.Itoa(len(batch)),
+					"cached": strconv.Itoa(cached),
+				}
+			}
+			m.recordPhase(j, name, start, batchEnd, attrs)
+		}()
 		return m.evaluate(ctx, j, batch)
 	}
 	res, err := func() (res *sweep.Result, err error) {
@@ -943,10 +966,8 @@ func (m *Manager) execute(j *job) {
 
 // evaluateInProcess is the evaluator of a non-distributed manager: one
 // batch through the local sweep engine, read through the shared cache,
-// feeding the job's progress counters, booked as one evaluate span.
+// feeding the job's progress counters.
 func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
-	start := m.opts.Clock()
-	defer func() { m.recordPhase(j, "evaluate", start, m.opts.Clock(), nil) }()
 	return sweep.EvaluatePoints(ctx, j.scenarioName, pts, sweep.Config{
 		Workers: j.req.Workers,
 		Seed:    j.req.Seed,

@@ -142,8 +142,7 @@ func TestMetricsLifecycle(t *testing.T) {
 		}()
 	}
 	pollDone(t, srv, v.ID)
-	stopWorkers()
-	wg.Wait()
+	stopHTTPWorkers(m, stopWorkers, &wg)
 
 	// Determinism first: the instrumented fleet run answers exactly what
 	// one process would. Metrics observe, never influence.

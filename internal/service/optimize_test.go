@@ -225,8 +225,7 @@ func TestOptimizeDistributedMatchesInProcess(t *testing.T) {
 		t.Fatal("warm rerun front differs from cold distributed run")
 	}
 
-	stopWorkers()
-	wg.Wait()
+	stopHTTPWorkers(dist, stopWorkers, &wg)
 }
 
 // TestOptimizeHTTPSurface drives the optimizer through the public API:

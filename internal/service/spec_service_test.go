@@ -170,8 +170,7 @@ func TestSpecJobDistributed(t *testing.T) {
 		t.Fatalf("interference family progress = %+v, want computed points", done3.Progress)
 	}
 
-	stopWorkers()
-	wg.Wait()
+	stopHTTPWorkers(m, stopWorkers, &wg)
 }
 
 // apiErrorOf performs a request and decodes the error envelope.

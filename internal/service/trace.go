@@ -15,8 +15,7 @@ import (
 // ship with completions) are served raw by JobTrace, derived into a
 // phase timeline by JobTimeline, and the dispatcher's per-worker
 // profiles are snapshotted by FleetStats. Everything here observes —
-// nothing feeds back into scheduling or evaluation (yet; ROADMAP item
-// 4's adaptive chunk sizing is the intended consumer).
+// nothing feeds back into scheduling or evaluation.
 
 // ErrNoTrace means the manager runs without a trace collector
 // (Options.Trace nil); the HTTP layer maps it to 404.

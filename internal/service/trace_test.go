@@ -72,8 +72,6 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 		}()
 	}
 	pollDone(t, srv, v.ID)
-	stopWorkers()
-	wg.Wait()
 
 	// Determinism first: tracing observes, the records must not know it
 	// was on.
@@ -240,6 +238,7 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 	stopOptWorker()
 	<-optWorkerDone
 	checkTimeline(t, m, ov.ID, "dispatch", 3, 0)
+	stopHTTPWorkers(m, stopWorkers, &wg)
 }
 
 // TestInProcessTraceTimeline: an in-process job is as legible as a
@@ -271,8 +270,9 @@ func TestInProcessTraceTimeline(t *testing.T) {
 }
 
 // checkTimeline asserts a done job's timeline lists one queued phase,
-// batches phases named batch and one assemble phase, and that its spans
-// explain at least minCoverage of the job's wall time.
+// batches phases named batch and one assemble phase, that the batches
+// start where queued ends and end where assemble starts, and that its
+// spans explain at least minCoverage of the job's wall time.
 func checkTimeline(t *testing.T, m *Manager, id, batch string, batches int, minCoverage float64) {
 	t.Helper()
 	tl, err := m.JobTimeline(id)
@@ -280,11 +280,31 @@ func checkTimeline(t *testing.T, m *Manager, id, batch string, batches int, minC
 		t.Fatal(err)
 	}
 	count := map[string]int{}
+	var queued, first, last, assemble PhaseView
 	for _, p := range tl.Phases {
 		count[p.Name]++
+		switch {
+		case p.Name == "queued":
+			queued = p
+		case p.Name == "assemble":
+			assemble = p
+		case p.Name == batch:
+			if first.Name == "" || p.StartedAt.Before(first.StartedAt) {
+				first = p
+			}
+			if last.Name == "" || p.EndedAt.After(last.EndedAt) {
+				last = p
+			}
+		}
 	}
 	if count["queued"] != 1 || count[batch] != batches || count["assemble"] != 1 {
 		t.Fatalf("job %s phases = %v, want queued 1, %s %d, assemble 1", id, count, batch, batches)
+	}
+	// The batches share their outer boundaries with the phases around
+	// them, so no scheduling stall can fall between the spans there.
+	if !first.StartedAt.Equal(queued.EndedAt) || !last.EndedAt.Equal(assemble.StartedAt) {
+		t.Fatalf("job %s: queued ends %v, first %s starts %v; last %s ends %v, assemble starts %v — want shared boundaries",
+			id, queued.EndedAt, batch, first.StartedAt, batch, last.EndedAt, assemble.StartedAt)
 	}
 	if tl.SpanCoverage < minCoverage {
 		t.Fatalf("job %s span coverage = %.3f, want >= %.2f (wall %.6fs)", id, tl.SpanCoverage, minCoverage, tl.WallSeconds)

@@ -22,6 +22,8 @@ import (
 // talking to, so the two deployments exercise identical logic.
 type WorkerAPI interface {
 	// Lease requests one chunk; ok is false when no work is pending.
+	// A distributed daemon holds the request for a while before
+	// answering that no work arrived.
 	Lease(worker string) (Lease, bool, error)
 	// Heartbeat extends the lease, returning its new remaining
 	// lifetime, or ErrLeaseGone once the chunk was re-queued.
@@ -41,12 +43,23 @@ type TracedCompleter interface {
 	CompleteTraced(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error
 }
 
+// contextLeaser is the lease call *Manager offers in-process workers:
+// the same code as Lease, but a request parked waiting for work also
+// ends with the worker's ctx, so stopping a local worker never waits out
+// the daemon's hold.
+type contextLeaser interface {
+	lease(ctx context.Context, worker string) (Lease, bool, error)
+}
+
 // WorkerOptions tunes one RunWorker loop.
 type WorkerOptions struct {
 	// Name identifies the worker in leases and the fleet view.
 	Name string
-	// Poll is the idle sleep between lease attempts when no work is
-	// pending or the daemon is unreachable (default 500ms).
+	// Poll is the least interval between lease attempts that find no
+	// work, and the retry delay after a failed request (default 500ms).
+	// A distributed daemon holds an empty lease request up to 500ms
+	// itself, so against it the worker re-leases at once; a daemon that
+	// answers "no work" immediately is polled every Poll.
 	Poll time.Duration
 	// Workers bounds the local evaluation pool per chunk (0 = NumCPU).
 	Workers int
@@ -78,11 +91,16 @@ func RunWorker(ctx context.Context, api WorkerAPI, opts WorkerOptions) error {
 		logger = obs.DiscardLogger()
 	}
 	logger = logger.With("worker", opts.Name)
+	next := func() (Lease, bool, error) { return api.Lease(opts.Name) }
+	if cl, ok := api.(contextLeaser); ok {
+		next = func() (Lease, bool, error) { return cl.lease(ctx, opts.Name) }
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		l, ok, err := api.Lease(opts.Name)
+		asked := time.Now()
+		l, ok, err := next()
 		if err != nil {
 			logger.Warn("lease request failed", "error", err, "retry_in", opts.Poll)
 			if !sleep(ctx, opts.Poll) {
@@ -91,7 +109,9 @@ func RunWorker(ctx context.Context, api WorkerAPI, opts WorkerOptions) error {
 			continue
 		}
 		if !ok {
-			if !sleep(ctx, opts.Poll) {
+			// The daemon may already have held the request for work;
+			// only the rest of the poll interval is left to wait.
+			if !sleep(ctx, opts.Poll-time.Since(asked)) {
 				return ctx.Err()
 			}
 			continue

@@ -16,8 +16,8 @@ import (
 // replay of every segment byte. The file is advisory: it is written
 // atomically on clean Close (and after Compact), and Open falls back
 // to rebuilding from segments whenever it is missing, unreadable or
-// stale. Records themselves never live in the index — they are
-// faulted in from their segment on first Get.
+// stale. Records themselves never live in the persisted index — they
+// are faulted in from their segment on first Get.
 
 // indexFileName is the persisted index, living next to the segments.
 const indexFileName = "index.json"
@@ -27,8 +27,10 @@ const indexFileName = "index.json"
 const indexFormatVersion = 1
 
 // indexEntry is the in-memory index value: where an entry's line lives
-// on disk, which engine version stamped it, and — once faulted in or
-// freshly put — the decoded record.
+// on disk, which engine version stamped it, and the decoded record once
+// a Get has faulted it in. A Put leaves rec nil after writing the line;
+// only a record whose write failed, or that was put into a closed
+// store, stays resident from the Put, because it has no line on disk.
 type indexEntry struct {
 	seg    int
 	off    int64

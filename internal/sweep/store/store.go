@@ -18,8 +18,10 @@
 //     store reads one compact index file instead of replaying every
 //     segment. Records fault in from their segment on first Get and
 //     stay resident, bounding reopen cost by the index size and memory
-//     by the working set. A missing or stale index rebuilds from the
-//     segments, which remain the single source of truth.
+//     by the working set. A Put writes its line and keeps no decoded
+//     copy, so a store that is mostly written pins no records. A
+//     missing or stale index rebuilds from the segments, which remain
+//     the single source of truth.
 //   - Compaction (compact.go) rewrites the segments, dropping entries
 //     whose engine version no longer matches sweep.EngineVersion and
 //     shadowed duplicate keys, with crash-safe swap semantics: at
@@ -347,9 +349,11 @@ func (s *Store) readerLocked(seq int) (*os.File, error) {
 // chunk completed twice — once under an expired lease, once by its
 // re-lease — is persisted exactly once, because both completions carry
 // the same content-addressed keys. Put implements sweep.Cache.
-// Persistence errors cannot be surfaced through the Cache interface;
-// the entry stays served from memory and the error is reported by the
-// next Close.
+// A written record is not kept in memory: the first Get faults it in
+// from its segment, exactly as after a reopen. Persistence errors
+// cannot be surfaced through the Cache interface; the entry then stays
+// served from memory — as does one put into a closed store — and the
+// error is reported by the next Close.
 func (s *Store) Put(key string, rec sweep.Record) {
 	if s.met != nil {
 		start := time.Now()
@@ -422,7 +426,11 @@ func (s *Store) put(key string, rec sweep.Record) bool {
 	s.segs[s.activeSeq] = s.activeSize
 	if err != nil {
 		s.writeErr = err
+		return true
 	}
+	// The segment line is now a copy Get can fault in; pinning the
+	// decoded record as well would grow memory with every point written.
+	e.rec = nil
 	return true
 }
 

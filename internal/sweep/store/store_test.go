@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -347,5 +348,100 @@ func TestSeedOrBudgetChangesMiss(t *testing.T) {
 	}
 	if res.CachedPoints != 0 {
 		t.Fatalf("seed change hit the cache %d times", res.CachedPoints)
+	}
+}
+
+// resident reports whether key's decoded record is pinned in memory.
+func resident(s *Store, key string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.index[key]
+	return ok && e.rec != nil
+}
+
+// recordLine is the record's JSON as the segment layer writes it.
+func recordLine(t *testing.T, rec sweep.Record) []byte {
+	t.Helper()
+	b, err := sweep.AppendRecordJSON(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPutDoesNotPinRecords: a written record is not kept in memory.
+// Get faults it back in from its segment — the active one or one
+// already rotated out — byte-identical to what was put, and caches it.
+func TestPutDoesNotPinRecords(t *testing.T) {
+	sc, err := sweep.Get("paper-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.Run(context.Background(), sc, sweep.Config{Seed: 3, Budget: sweep.AnalyticBudget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenOptions(t.TempDir(), Options{SegmentBytes: 4 << 10}) // force rotation
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, rec := range res.Records {
+		s.Put(key(i), rec)
+		if resident(s, key(i)) {
+			t.Fatalf("record %d resident right after Put", i)
+		}
+	}
+	if s.Stats().Segments < 2 {
+		t.Fatalf("expected rotation, got %d segment(s)", s.Stats().Segments)
+	}
+	for i, rec := range res.Records {
+		got, ok := s.Get(key(i))
+		if !ok {
+			t.Fatalf("record %d missing", i)
+		}
+		if !bytes.Equal(recordLine(t, got), recordLine(t, rec)) {
+			t.Fatalf("record %d changed across put/get:\ngot  %s\nwant %s", i, recordLine(t, got), recordLine(t, rec))
+		}
+		if !resident(s, key(i)) {
+			t.Fatalf("record %d not cached after Get", i)
+		}
+	}
+	if st := s.Stats(); st.Hits != int64(len(res.Records)) || st.Skipped != 0 {
+		t.Fatalf("stats = %+v, want %d hits and nothing skipped", st, len(res.Records))
+	}
+}
+
+// TestUnwrittenPutStaysResident: a record with no line on disk — put
+// into a closed store, or unencodable — is the only copy, so it stays
+// in memory and Get serves it.
+func TestUnwrittenPutStaysResident(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(1)
+	s.Put("after-close", rec)
+	got, ok := s.Get("after-close")
+	if !ok || !bytes.Equal(recordLine(t, got), recordLine(t, rec)) || !resident(s, "after-close") {
+		t.Fatalf("put after close: Get = (%+v, %v), resident %v", got, ok, resident(s, "after-close"))
+	}
+
+	s, err = Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testRecord(2)
+	bad.TxPowerDBm = math.NaN() // JSON cannot encode it: the write fails
+	s.Put("unencodable", bad)
+	got, ok = s.Get("unencodable")
+	if !ok || !math.IsNaN(got.TxPowerDBm) || !resident(s, "unencodable") {
+		t.Fatalf("unencodable put: Get = (%+v, %v), resident %v", got, ok, resident(s, "unencodable"))
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close did not report the failed write")
 	}
 }
