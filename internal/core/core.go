@@ -459,14 +459,15 @@ type stackCacheKey struct {
 }
 
 // stackCache memoises compiled candidate topologies per (module count,
-// traffic pattern). Compiling a mesh walks every router pair's route,
-// O(modules^2 + routers^2 x hops), while a design point only needs one
-// O(channels) latency evaluation per candidate, and sweep grids revisit
-// the same handful of module counts for every point. Mesh and Compiled
-// are immutable and safe to share across sweep workers, and candidate
-// construction is deterministic, so cached and freshly built candidates
-// are indistinguishable; a bounded FIFO keeps an optimizer walking a
-// wide StackModules range from holding every mesh it ever compiled.
+// traffic pattern). Compiling a mesh costs O(modules^2 + routers^2)
+// (one share per module pair, one route tree per source router), while
+// a design point only needs one O(channels) latency evaluation per
+// candidate, and sweep grids revisit the same handful of module counts
+// for every point. Mesh and Compiled are immutable and safe to share
+// across sweep workers, and candidate construction is deterministic, so
+// cached and freshly built candidates are indistinguishable; a bounded
+// FIFO keeps an optimizer walking a wide StackModules range from
+// holding every mesh it ever compiled.
 var stackCache = struct {
 	sync.Mutex
 	entries map[stackCacheKey][]stackCandidate
@@ -494,7 +495,7 @@ func compiledCandidates(modules int, traffic noc.TrafficPattern) []stackCandidat
 	// workers racing on the same module count produce identical
 	// candidates, so the second insert is a harmless overwrite.
 	var cands []stackCandidate
-	for _, topo := range candidateTopologies(modules) {
+	for _, topo := range CandidateTopologies(modules) {
 		model := analytic.Model{Topo: topo, Traffic: traffic}.Compile()
 		cands = append(cands, stackCandidate{topo: topo, model: model, sat: model.SaturationRate()})
 	}
@@ -546,9 +547,10 @@ func chooseStack(modules int, injection float64, traffic noc.TrafficPattern) (St
 	}, nil
 }
 
-// candidateTopologies proposes meshes of the Fig. 7 types with module
-// counts matching the request (rounding the grid up where needed).
-func candidateTopologies(modules int) []*noc.Mesh {
+// CandidateTopologies proposes the meshes of the Fig. 7 types a design
+// point's stack choice compiles and compares, with module counts
+// matching the request (rounding the grid up where needed).
+func CandidateTopologies(modules int) []*noc.Mesh {
 	var out []*noc.Mesh
 	// 2D mesh, near-square.
 	w := int(math.Ceil(math.Sqrt(float64(modules))))

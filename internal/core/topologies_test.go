@@ -9,7 +9,7 @@ func TestCandidateTopologiesCoverRequestedModules(t *testing.T) {
 	// counts are at least the requested size for any plausible request,
 	// including non-squares, non-cubes and odd counts.
 	for _, modules := range []int{2, 5, 7, 16, 60, 64, 100, 250, 512, 1000} {
-		cands := candidateTopologies(modules)
+		cands := CandidateTopologies(modules)
 		if len(cands) == 0 {
 			t.Fatalf("%d modules: no candidates", modules)
 		}

@@ -3,6 +3,7 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Compiled is a Model whose all-pairs routing has been folded into
@@ -10,7 +11,9 @@ import (
 // latency-versus-injection curve through a Compiled model costs
 // O(channels) per point instead of O(modules^2 x hops), which is what
 // makes wide design-space sweeps over large meshes practical; compiling
-// walks every router pair's route once, into one reused buffer.
+// costs O(modules^2) share lookups plus, per source router, the union of
+// its routes (a route tree), so O(router pairs) rather than
+// O(router pairs x hops).
 //
 // A Compiled value is immutable after construction and safe for
 // concurrent use by multiple goroutines.
@@ -25,6 +28,16 @@ type Compiled struct {
 }
 
 // Compile freezes the model's routing into a reusable evaluator.
+//
+// Dimension-order routes have the prefix property (see noc.Mesh.LastHop),
+// so the routes from one source router form a tree rooted at it, and a
+// channel's load from that source is the total traffic of the subtree
+// behind it. Per source router, Compile sums the module shares into a
+// per-destination row, grows the tree by walking each destination up
+// through LastHop until it meets a router already on the tree, and then
+// pushes flow back towards the root chain by chain. A source costs the
+// union of its routes, not the sum of their lengths, and every addition
+// is nonnegative, so a channel no traffic crosses stays exactly 0.
 func (m Model) Compile() *Compiled {
 	topo := m.Topo
 	n := topo.NumModules()
@@ -37,37 +50,77 @@ func (m Model) Compile() *Compiled {
 		c.capacity[i] = m.channelCapacity(i)
 	}
 
-	// Aggregate module pairs by router pair; routes depend only on the
-	// router endpoints. Accumulation walks router pairs in a fixed order
-	// so the floating-point sums are bit-identical run to run.
+	// Scratch, carved from two allocations. For the current source:
+	// row[r] is the traffic share destined to router r, flow[r] the
+	// share routed through r (its subtree's total), stamp[r] the last
+	// source whose tree r joined, last[r] and prev[r] the final hop of
+	// r's route and the router it leaves. nodes lists the routers on the
+	// tree, every router after its parent. dests lists the routers with
+	// a nonzero row entry, so sparse traffic does not scan every router
+	// per source.
 	routers := topo.NumRouters()
-	byPair := make([]float64, routers*routers)
-	for s := 0; s < n; s++ {
-		rs := topo.RouterOf(s)
-		for d := 0; d < n; d++ {
-			share := m.Traffic.Share(s, d, n)
-			if share == 0 {
-				continue
+	floats := make([]float64, 2*routers)
+	row, flow := floats[:routers], floats[routers:]
+	ints := make([]int32, 5*routers)
+	stamp, last, prev := ints[:routers], ints[routers:2*routers], ints[2*routers:3*routers]
+	nodes, dests := ints[3*routers:3*routers:4*routers], ints[4*routers:4*routers:5*routers]
+	for r := range stamp {
+		stamp[r] = -1
+	}
+	conc := topo.Concentration()
+	for rs := 0; rs < routers; rs++ {
+		dests, nodes = dests[:0], nodes[:0]
+		// Module pairs sum in a fixed order, so the floating-point
+		// sums are bit-identical run to run.
+		for s := rs * conc; s < (rs+1)*conc; s++ {
+			for d := 0; d < n; d++ {
+				share := m.Traffic.Share(s, d, n)
+				if share == 0 {
+					continue
+				}
+				c.totalShare += share
+				rd := topo.RouterOf(d)
+				if rd == rs {
+					continue // co-located traffic crosses no channel
+				}
+				if row[rd] == 0 {
+					dests = append(dests, int32(rd))
+				}
+				row[rd] += share
 			}
-			c.totalShare += share
-			rd := topo.RouterOf(d)
-			if rs == rd {
-				c.hopShare += share
-				continue
+		}
+		stamp[rs] = int32(rs)
+		for _, d := range dests {
+			rd := int(d)
+			share := row[rd]
+			row[rd] = 0
+			// The walk adds a chain of new routers, deepest first,
+			// ending on the root or on an earlier chain; reversed, it
+			// keeps nodes parent-first.
+			chain := len(nodes)
+			for r := rd; stamp[r] != int32(rs); {
+				ch, p := topo.LastHop(rs, r)
+				stamp[r], last[r], prev[r], flow[r] = int32(rs), int32(ch), int32(p), 0
+				nodes = append(nodes, int32(r))
+				r = p
 			}
-			byPair[rs*routers+rd] += share
+			slices.Reverse(nodes[chain:])
+			flow[rd] += share
+		}
+		// Newest chain first, deepest router first: every router is
+		// visited after its whole subtree.
+		for i := len(nodes) - 1; i >= 0; i-- {
+			r := nodes[i]
+			c.loadsPerUnit[last[r]] += flow[r]
+			flow[prev[r]] += flow[r]
 		}
 	}
-	var chans []int
-	for key, share := range byPair {
-		if share == 0 {
-			continue
-		}
-		chans = topo.AppendRouteChannels(chans[:0], key/routers, key%routers)
-		for _, ch := range chans {
-			c.loadsPerUnit[ch] += share
-		}
-		c.hopShare += share * float64(len(chans)+1)
+	// A routed pair crosses hops+1 routers and a co-located pair one,
+	// so Σ share·(routers crossed) = Σ share + Σ share·hops, and the
+	// latter is the total channel load.
+	c.hopShare = c.totalShare
+	for _, l := range c.loadsPerUnit {
+		c.hopShare += l
 	}
 	return c
 }

@@ -201,6 +201,52 @@ func TestAppendRouteChannelsAllocFree(t *testing.T) {
 	}
 }
 
+// Following LastHop from dst back to src must retrace the channel route
+// in reverse, hop for hop, on every router pair of every family — the
+// prefix property the compiled analytic model's route trees rest on.
+func TestLastHopRetracesRoute(t *testing.T) {
+	for _, m := range routeFamilies() {
+		var back []int
+		for s := 0; s < m.NumRouters(); s++ {
+			for d := 0; d < m.NumRouters(); d++ {
+				want := m.AppendRouteChannels(nil, s, d)
+				back = back[:0]
+				for r := d; r != s; {
+					ch, prev := m.LastHop(s, r)
+					if ch < 0 || len(back) == len(want) {
+						t.Fatalf("%s: LastHop walk %d <- %d stuck at %d (channel %d)", m.Name(), s, d, r, ch)
+					}
+					if c := m.Channels()[ch]; c.From != prev || c.To != r {
+						t.Fatalf("%s: LastHop(%d, %d) = channel %d (%d -> %d), prev %d", m.Name(), s, r, ch, c.From, c.To, prev)
+					}
+					back = append(back, ch)
+					r = prev
+				}
+				slices.Reverse(back)
+				if !slices.Equal(back, want) {
+					t.Fatalf("%s: LastHop walk %d <- %d = %v reversed, route %v", m.Name(), s, d, back, want)
+				}
+			}
+			if ch, prev := m.LastHop(s, s); ch != -1 || prev != s {
+				t.Fatalf("%s: LastHop(%d, %d) = (%d, %d), want (-1, %d)", m.Name(), s, s, ch, prev, s)
+			}
+		}
+	}
+}
+
+func TestLastHopAllocFree(t *testing.T) {
+	m := NewPillarMesh3D(8, 8, 4, 2)
+	n := m.NumRouters()
+	allocs := testing.AllocsPerRun(100, func() {
+		for s := 0; s < n; s += 13 {
+			m.LastHop(s, n-1-s)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("LastHop: %g allocs/run, want 0", allocs)
+	}
+}
+
 func TestRouteSelfIsSingleton(t *testing.T) {
 	m := NewMesh2D(4, 4)
 	if p := m.Route(5, 5); len(p) != 1 || p[0] != 5 {

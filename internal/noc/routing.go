@@ -6,13 +6,17 @@ import (
 )
 
 // routePlan is the shape of the dimension-order route from src to dst:
-// the signed leg lengths in walk order and their sum, the hop count.
+// the signed leg lengths in walk order; their absolute sum is the hop
+// count.
 // Packets needing a layer change on a pillar-constrained mesh first
 // detour in-plane (X, then Y) to the TSV pillar of the source's block;
 // every route then crosses layers (Z) and finishes in-plane (X, then Y).
 type routePlan struct {
 	detourX, detourY, z, x, y int
-	hops                      int
+}
+
+func (p routePlan) hops() int {
+	return absInt(p.detourX) + absInt(p.detourY) + absInt(p.z) + absInt(p.x) + absInt(p.y)
 }
 
 func (m *Mesh) planRoute(src, dst int) routePlan {
@@ -25,9 +29,7 @@ func (m *Mesh) planRoute(src, dst int) routePlan {
 	if z != dz && !m.hasPillar(x, y) {
 		px, py = x-x%m.verticalEvery, y-y%m.verticalEvery
 	}
-	p := routePlan{detourX: px - x, detourY: py - y, z: dz - z, x: dx - px, y: dy - py}
-	p.hops = absInt(p.detourX) + absInt(p.detourY) + absInt(p.z) + absInt(p.x) + absInt(p.y)
-	return p
+	return routePlan{detourX: px - x, detourY: py - y, z: dz - z, x: dx - px, y: dy - py}
 }
 
 func absInt(v int) int {
@@ -44,7 +46,7 @@ func absInt(v int) int {
 // path, so a caller reusing buf across router pairs does not allocate.
 func (m *Mesh) AppendRouteChannels(buf []int, src, dst int) []int {
 	p := m.planRoute(src, dst)
-	buf = slices.Grow(buf, p.hops)
+	buf = slices.Grow(buf, p.hops())
 	strideY, strideZ := m.dims[0], m.dims[0]*m.dims[1]
 	r := src
 	buf, r = m.appendLeg(buf, r, p.detourX, 1)
@@ -65,18 +67,60 @@ func (m *Mesh) appendLeg(buf []int, r, n, stride int) ([]int, int) {
 	if n < 0 {
 		n, stride = -n, -stride
 	}
+	slot := m.slotOf(stride)
+	for ; n > 0; n-- {
+		buf = append(buf, m.stepChannel(r, slot, stride))
+		r += stride
+	}
+	return buf, r
+}
+
+// slotOf returns the direction-table slot of a move delta, or numDeltas
+// if no channel in the mesh moves by it.
+func (m *Mesh) slotOf(stride int) int {
 	slot := 0
 	for slot < m.numDeltas && m.moveDeltas[slot] != stride {
 		slot++
 	}
-	for ; n > 0; n-- {
-		if slot == m.numDeltas || m.chanDir[r*6+slot] < 0 {
-			panic(fmt.Sprintf("noc: route step %d -> %d has no channel", r, r+stride))
-		}
-		buf = append(buf, int(m.chanDir[r*6+slot]))
-		r += stride
+	return slot
+}
+
+// stepChannel returns the channel leaving router r in direction slot,
+// whose move delta is stride; a route step without one is a bug.
+func (m *Mesh) stepChannel(r, slot, stride int) int {
+	if slot == m.numDeltas || m.chanDir[r*6+slot] < 0 {
+		panic(fmt.Sprintf("noc: route step %d -> %d has no channel", r, r+stride))
 	}
-	return buf, r
+	return int(m.chanDir[r*6+slot])
+}
+
+// LastHop returns the final channel of the dimension-order route from
+// src to dst and the router prev that channel leaves; src == dst has no
+// channel and yields (-1, src). Every prefix of a route is itself the
+// route to the router it reaches, so prev's route is dst's minus this
+// hop: following LastHop from dst back to src retraces
+// AppendRouteChannels in reverse, and the routes from one source form a
+// tree.
+func (m *Mesh) LastHop(src, dst int) (ch, prev int) {
+	p := m.planRoute(src, dst)
+	// A pillar detour is planned only for a layer change, so a nonempty
+	// Z leg always follows it and the last hop is never a detour step.
+	var n, stride int
+	switch {
+	case p.y != 0:
+		n, stride = p.y, m.dims[0]
+	case p.x != 0:
+		n, stride = p.x, 1
+	case p.z != 0:
+		n, stride = p.z, m.dims[0]*m.dims[1]
+	default:
+		return -1, src
+	}
+	if n < 0 {
+		stride = -stride
+	}
+	prev = dst - stride
+	return m.stepChannel(prev, m.slotOf(stride), stride), prev
 }
 
 // Route returns the router sequence from src to dst under the
@@ -97,7 +141,7 @@ func (m *Mesh) Route(src, dst int) []int {
 func (m *Mesh) RouteChannels(src, dst int) []int { return m.AppendRouteChannels(nil, src, dst) }
 
 // Hops returns the channel count of the route from src to dst.
-func (m *Mesh) Hops(src, dst int) int { return m.planRoute(src, dst).hops }
+func (m *Mesh) Hops(src, dst int) int { return m.planRoute(src, dst).hops() }
 
 // Metrics summarises a topology's structural properties (the Fig. 7
 // comparison).

@@ -48,6 +48,10 @@ type Mesh struct {
 	moveDeltas [6]int
 	numDeltas  int
 	chanDir    []int32
+
+	// coords[r] is router r's grid position, so Coords, which every
+	// route plan calls twice, does not divide.
+	coords [][3]int32
 }
 
 // NewMesh2D returns a w x h mesh with one module per router
@@ -101,6 +105,7 @@ func newMesh(name string, dims [3]int, conc, verticalEvery int) *Mesh {
 		concentration: conc,
 		verticalEvery: verticalEvery,
 	}
+	m.coords = make([][3]int32, m.NumRouters())
 	addChan := func(a, b int, vertical bool) {
 		m.channels = append(m.channels, Channel{From: a, To: b, Vertical: vertical})
 	}
@@ -108,6 +113,7 @@ func newMesh(name string, dims [3]int, conc, verticalEvery int) *Mesh {
 		for y := 0; y < dims[1]; y++ {
 			for x := 0; x < dims[0]; x++ {
 				r := m.RouterAt(x, y, z)
+				m.coords[r] = [3]int32{int32(x), int32(y), int32(z)}
 				if x+1 < dims[0] {
 					addChan(r, m.RouterAt(x+1, y, z), false)
 					addChan(m.RouterAt(x+1, y, z), r, false)
@@ -151,7 +157,7 @@ func newMesh(name string, dims [3]int, conc, verticalEvery int) *Mesh {
 }
 
 func (m *Mesh) hasPillar(x, y int) bool {
-	return x%m.verticalEvery == 0 && y%m.verticalEvery == 0
+	return m.verticalEvery == 1 || x%m.verticalEvery == 0 && y%m.verticalEvery == 0
 }
 
 // Name returns a human-readable topology label.
@@ -182,10 +188,8 @@ func (m *Mesh) RouterAt(x, y, z int) int {
 
 // Coords returns the grid position of a router id.
 func (m *Mesh) Coords(router int) (x, y, z int) {
-	x = router % m.dims[0]
-	y = (router / m.dims[0]) % m.dims[1]
-	z = router / (m.dims[0] * m.dims[1])
-	return
+	c := m.coords[router]
+	return int(c[0]), int(c[1]), int(c[2])
 }
 
 // RouterOf returns the router a module attaches to.

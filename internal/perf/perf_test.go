@@ -87,6 +87,7 @@ func TestCatalogComplete(t *testing.T) {
 	want := []string{
 		"ldpc-decode-paper",
 		"metrics-overhead",
+		"noc-compile-wide",
 		"noc-compiled-fig8",
 		"optimize-paper-space",
 		"service-submit-poll",

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ldpc"
 	"repro/internal/noc"
 	"repro/internal/noc/analytic"
@@ -76,6 +77,7 @@ func register(w Workload) {
 func init() {
 	register(ldpcDecodePaper())
 	register(nocCompiledFig8())
+	register(nocCompileWide())
 	register(sweepAnalyticCold())
 	register(sweepWarmStore())
 	register(optimizePaperSpace())
@@ -156,6 +158,38 @@ func nocCompiledFig8() Workload {
 				points += float64(len(curve))
 			}
 			return points, nil
+		},
+	}
+}
+
+// nocCompileWide measures compiling the stack-choice contenders
+// (core.CandidateTopologies: the four Fig. 7 families) at module counts
+// spread across [16, 320) under uniform, bit-complement and hotspot
+// traffic — what a wide StackModules grid pays whenever a module count
+// misses the topology cache. Sparse bit-complement traffic rides along
+// so that compile work spent on routes no traffic takes shows up here.
+func nocCompileWide() Workload {
+	const counts = 8
+	patterns := []noc.TrafficPattern{noc.Uniform{}, noc.BitComplement{}, noc.Hotspot{Module: 0, Fraction: 0.2}}
+	return Workload{
+		Name:           "noc-compile-wide",
+		MaxAllocsPerOp: 1100,
+		Description:    "compile the Fig. 7 stack candidates at 8 module counts in [16, 320) under 3 traffic patterns",
+		Units:          "compiles",
+		Run: func(ctx context.Context, seed uint64) (float64, error) {
+			compiles := 0.0
+			for i := 0; i < counts; i++ {
+				for _, topo := range core.CandidateTopologies(16 + i*(320-16)/counts) {
+					for _, traffic := range patterns {
+						c := analytic.Model{Topo: topo, Traffic: traffic}.Compile()
+						if sat := c.SaturationRate(); !(sat > 0) {
+							return 0, fmt.Errorf("%s under %s: saturation rate %g", topo.Name(), traffic, sat)
+						}
+						compiles++
+					}
+				}
+			}
+			return compiles, nil
 		},
 	}
 }

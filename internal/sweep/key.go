@@ -21,7 +21,16 @@ import (
 //     in its last bits (at most 3.8e-13 relative over the registered
 //     scenarios and 16-319-module grids). Topology choice, saturation
 //     and every other record field are byte-identical to engine 2.
-const EngineVersion = 3
+//   - 4: compiling the NoC evaluator sums each source router's traffic
+//     up its route tree (subtree flows per channel) instead of adding
+//     every router pair's share along its route, and derives the
+//     hop-weighted share from the channel loads. Again exact algebra in
+//     a new summation order: noc_latency_cycles moves by at most 6.7e-13
+//     and noc_saturation by at most 2.2e-14 relative over the registered
+//     scenarios and three 912-point 16-319-module grids (one per traffic
+//     pattern; bit-complement records are byte-identical). Topology
+//     choice and every other field are byte-identical to engine 3.
+const EngineVersion = 4
 
 // keyEnvelope is the canonical content of a point's address. Marshalled
 // with encoding/json the field order is fixed by declaration order, so
