@@ -162,11 +162,11 @@ func (c *Client) CompleteTraced(leaseID string, recs []sweep.Record, spans []obs
 
 func (c *Client) complete(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
 	// Chunk completions are the fattest bodies on the worker wire; the
-	// columnar block encoder builds one in a single buffer, emitting the
-	// same bytes json.Marshal would per record.
+	// record encoder builds one in a single buffer, emitting the same
+	// bytes json.Marshal would per record.
 	body := make([]byte, 0, 128+256*len(recs))
 	body = append(body, `{"records":`...)
-	body, err := sweep.BlockRecords(recs).AppendRecordsJSON(body)
+	body, err := sweep.AppendRecordsJSON(body, recs)
 	if err != nil {
 		return fmt.Errorf("service: encode records: %w", err)
 	}

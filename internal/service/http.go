@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -169,22 +168,26 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		// One reused buffer for the whole stream: the columnar record
-		// encoder writes json.Marshal's exact bytes without per-record
-		// reflection or allocation.
-		line := make([]byte, 0, 1024)
+		// Only done jobs have a result, so every record already exists:
+		// per-line flushes would buy the reader nothing. Lines go into
+		// one buffer, written and flushed each time it passes
+		// recordBatchBytes and once at the end.
+		buf := make([]byte, 0, recordBatchBytes+2048)
 		for _, rec := range res.Records {
-			var err error
-			if line, err = sweep.AppendRecordJSON(line[:0], rec); err != nil {
-				return // unencodable record; matches the old encoder bail-out
+			line, err := sweep.AppendRecordJSON(buf, rec)
+			if err != nil {
+				break // unencodable record: the stream ends before it
 			}
-			line = append(line, '\n')
-			if _, err := w.Write(line); err != nil {
-				return // client went away mid-stream
+			buf = append(line, '\n')
+			if len(buf) >= recordBatchBytes {
+				if !writeBatch(w, flusher, buf) {
+					return // client went away mid-stream
+				}
+				buf = buf[:0]
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		}
+		if len(buf) > 0 {
+			writeBatch(w, flusher, buf)
 		}
 	})
 	instrument(mux, hm, rt, "POST /api/v1/workers/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +287,7 @@ func NewHandler(m *Manager) http.Handler {
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/generations", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		sent := 0
-		gens, terminal, err := m.Generations(id, sent)
+		gens, terminal, changed, err := m.Generations(id, sent)
 		if err != nil {
 			writeAPIError(w, err)
 			return
@@ -308,9 +311,9 @@ func NewHandler(m *Manager) http.Handler {
 			select {
 			case <-r.Context().Done():
 				return
-			case <-time.After(genPollInterval):
+			case <-changed:
 			}
-			if gens, terminal, err = m.Generations(id, sent); err != nil {
+			if gens, terminal, changed, err = m.Generations(id, sent); err != nil {
 				return // job evicted mid-stream; nothing more to say
 			}
 		}
@@ -390,11 +393,22 @@ func listQueryOf(r *http.Request) (ListQuery, error) {
 	return lq, nil
 }
 
-// genPollInterval is how often the generations stream re-checks a
-// running job for new summaries. Fronts arrive at most once per
-// generation — seconds apart under any real budget — so 100ms keeps
-// the stream effectively live at negligible poll cost.
-const genPollInterval = 100 * time.Millisecond
+// recordBatchBytes is the records stream's write size: big enough that
+// a warm 1000-record job costs a handful of flushes instead of one per
+// ~500-byte line, small enough that a reader sees bytes early.
+const recordBatchBytes = 32 << 10
+
+// writeBatch writes one records-stream batch and flushes it, reporting
+// whether the client is still there.
+func writeBatch(w http.ResponseWriter, flusher http.Flusher, batch []byte) bool {
+	if _, err := w.Write(batch); err != nil {
+		return false
+	}
+	if flusher != nil {
+		flusher.Flush()
+	}
+	return true
+}
 
 // storeView is the GET /api/v1/store payload: the whole store's
 // counters plus the per-shard breakdown (one entry, shard order; a

@@ -194,6 +194,29 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+
+	// changed (under mu) is closed, and replaced by a fresh channel,
+	// whenever a generation is appended and when the job turns
+	// terminal: every generations stream parked on the old channel
+	// wakes and re-reads.
+	changed chan struct{}
+}
+
+// changedLocked wakes every reader parked on the job's current change
+// channel. Callers hold j.mu and have just changed what Generations
+// reports.
+func (j *job) changedLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// appendGeneration records one finished optimizer generation and wakes
+// the job's generations streams.
+func (j *job) appendGeneration(g search.Generation) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.gens = append(j.gens, g)
+	j.changedLocked()
 }
 
 // view snapshots the job.
@@ -441,7 +464,7 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 	if err != nil {
 		return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	j := &job{kind: kind, req: req, budget: budget, state: StateQueued}
+	j := &job{kind: kind, req: req, budget: budget, state: StateQueued, changed: make(chan struct{})}
 	if userSpec != nil {
 		j.specName = userSpec.Name
 	}
@@ -566,6 +589,7 @@ func (m *Manager) InFlight() (queued, running int) {
 // noteFinishedLocked books the metrics and the structured log line for a
 // job that just reached a terminal state. Called with j.mu held.
 func (m *Manager) noteFinishedLocked(j *job) {
+	j.changedLocked()
 	m.met.jobFinished(j.kind, j.state, j.started, j.finished)
 	attrs := []any{
 		"job_id", j.id, "kind", j.kind, "scenario", j.scenarioName,
@@ -989,11 +1013,7 @@ func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Poi
 // batches, so in-process and fleet deployments answer byte-identically.
 func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Context, []sweep.Point) ([]sweep.Record, int, error)) (*sweep.Result, error) {
 	opts := j.searchOpts
-	opts.OnGeneration = func(g search.Generation) {
-		j.mu.Lock()
-		j.gens = append(j.gens, g)
-		j.mu.Unlock()
-	}
+	opts.OnGeneration = j.appendGeneration
 	opts.Evaluate = func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
 		return evaluate(ctx, pts)
 	}
@@ -1019,14 +1039,16 @@ func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Co
 // Generations returns an optimization job's per-generation summaries
 // starting at offset from, plus whether the job has reached a terminal
 // state — the pair a streaming client needs to decide between "emit
-// and keep following" and "emit and hang up". Sweep jobs always return
-// an empty slice.
-func (m *Manager) Generations(id string, from int) ([]search.Generation, bool, error) {
+// and keep following" and "emit and hang up" — and a channel closed
+// at the job's next change (a generation appended, or the job turning
+// terminal), which a follower waits on instead of polling. Sweep jobs
+// always return an empty slice.
+func (m *Manager) Generations(id string, from int) ([]search.Generation, bool, <-chan struct{}, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return nil, false, fmt.Errorf("%w %q", ErrUnknownJob, id)
+		return nil, false, nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1035,9 +1057,9 @@ func (m *Manager) Generations(id string, from int) ([]search.Generation, bool, e
 		from = 0
 	}
 	if from >= len(j.gens) {
-		return nil, terminal, nil
+		return nil, terminal, j.changed, nil
 	}
 	out := make([]search.Generation, len(j.gens)-from)
 	copy(out, j.gens[from:])
-	return out, terminal, nil
+	return out, terminal, j.changed, nil
 }

@@ -69,7 +69,7 @@ func TestOptimizeJobLifecycle(t *testing.T) {
 		}
 	}
 
-	gens, terminal, err := m.Generations(v.ID, 0)
+	gens, terminal, _, err := m.Generations(v.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOptimizeJobLifecycle(t *testing.T) {
 		}
 	}
 	// Offset reads return the tail only.
-	tail, _, err := m.Generations(v.ID, 2)
+	tail, _, _, err := m.Generations(v.ID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestOptimizeDistributedMatchesInProcess(t *testing.T) {
 	}
 
 	// Per-generation summaries match too.
-	g1, _, err := inproc.Generations(v1.ID, 0)
+	g1, _, _, err := inproc.Generations(v1.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := dist.Generations(v2.ID, 0)
+	g2, _, _, err := dist.Generations(v2.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,22 @@ func (s *Spec) baseSpec() core.SystemSpec {
 // axis order is part of the spec's canonical identity.
 func (s *Spec) points() ([]sweep.Point, error) {
 	base := s.baseSpec()
+	// Each axis's knob and each axis value's "name=value" label part are
+	// resolved once here, not once per point.
+	axisKnobs := make([]*knob, len(s.Axes))
 	values := make([][]any, len(s.Axes))
-	total := 1
+	parts := make([][]string, len(s.Axes))
+	total, width := 1, len(s.Axes)
 	for i := range s.Axes {
+		axisKnobs[i] = knobs[s.Axes[i].Name]
 		values[i] = s.Axes[i].values()
+		parts[i] = make([]string, len(values[i]))
+		longest := 0
+		for j, v := range values[i] {
+			parts[i][j] = s.Axes[i].Name + "=" + formatValue(v)
+			longest = max(longest, len(parts[i][j]))
+		}
+		width += longest
 		total *= len(values[i])
 	}
 	pts := make([]sweep.Point, 0, total)
@@ -121,15 +133,13 @@ func (s *Spec) points() ([]sweep.Point, error) {
 	for n := 0; n < total; n++ {
 		sp := cloneSpec(base)
 		label.Reset()
-		for a := range s.Axes {
-			v := values[a][idx[a]]
-			knobs[s.Axes[a].Name].set(&sp, v)
+		label.Grow(width)
+		for a, k := range axisKnobs {
+			k.set(&sp, values[a][idx[a]])
 			if a > 0 {
 				label.WriteByte(' ')
 			}
-			label.WriteString(s.Axes[a].Name)
-			label.WriteByte('=')
-			label.WriteString(formatValue(v))
+			label.WriteString(parts[a][idx[a]])
 		}
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec: point %q is invalid: %w (tighten the axis bounds or base)", label.String(), err)

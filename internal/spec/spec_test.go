@@ -303,3 +303,55 @@ func FuzzSpecCanonicalRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestPointLabelsPinned pins grid labels byte for byte for every axis
+// kind: labels are hashed into every point's cache key, so a label
+// that changes by one byte turns the store cold for that spec.
+func TestPointLabelsPinned(t *testing.T) {
+	s, err := Parse([]byte(`{"name": "labels",
+		"axes": [
+			{"name": "board-spacing-m", "kind": "continuous", "min": 0.05, "max": 0.15, "step": 0.1},
+			{"name": "boards", "kind": "integer", "min": 2, "max": 3},
+			{"name": "butler", "kind": "bool"},
+			{"name": "traffic-pattern", "kind": "enum", "values": ["uniform", "hotspot"]},
+			{"name": "link-rate-gbps", "kind": "enum", "values": [1e21, 2.5e-7]}
+		]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"board-spacing-m=0.05 boards=2 butler=false traffic-pattern=uniform link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=2 butler=false traffic-pattern=uniform link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=2 butler=false traffic-pattern=hotspot link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=2 butler=false traffic-pattern=hotspot link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=2 butler=true traffic-pattern=uniform link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=2 butler=true traffic-pattern=uniform link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=2 butler=true traffic-pattern=hotspot link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=2 butler=true traffic-pattern=hotspot link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=3 butler=false traffic-pattern=uniform link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=3 butler=false traffic-pattern=uniform link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=3 butler=false traffic-pattern=hotspot link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=3 butler=false traffic-pattern=hotspot link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=3 butler=true traffic-pattern=uniform link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=3 butler=true traffic-pattern=uniform link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.05 boards=3 butler=true traffic-pattern=hotspot link-rate-gbps=1e+21",
+		"board-spacing-m=0.05 boards=3 butler=true traffic-pattern=hotspot link-rate-gbps=2.5e-07",
+		"board-spacing-m=0.15000000000000002 boards=2 butler=false traffic-pattern=uniform link-rate-gbps=1e+21",
+	}
+	if len(c.Points) != 32 {
+		t.Fatalf("grid has %d points, want 32", len(c.Points))
+	}
+	for i, w := range want {
+		if got := c.Points[i].Label; got != w {
+			t.Errorf("point %d label\n got %q\nwant %q", i, got, w)
+		}
+	}
+	if got, w := c.Points[31].Label,
+		"board-spacing-m=0.15000000000000002 boards=3 butler=true traffic-pattern=hotspot link-rate-gbps=2.5e-07"; got != w {
+		t.Errorf("last label\n got %q\nwant %q", got, w)
+	}
+}

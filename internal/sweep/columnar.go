@@ -9,179 +9,16 @@ import (
 	"repro/internal/core"
 )
 
-// RecordBlock is a columnar (struct-of-arrays) representation of a
-// []Record: one flat array per field, all of equal length. It exists
-// for the batch-oriented hot paths — store segment appends, worker
-// chunk-completion bodies and NDJSON record streams — where encoding
-// row-structs one at a time through encoding/json dominates the
-// profile with per-record reflection and allocation. A block encodes
-// records through AppendRecordJSON, which emits bytes identical to
-// json.Marshal of the equivalent Record, so switching a path to the
-// block representation can never change what lands on disk or on the
-// wire. The in-memory round trip is exact too: float columns carry
-// NaN payloads and infinities bit-for-bit, which the fuzz harness
-// FuzzRecordColumnarRoundTrip pins down.
-type RecordBlock struct {
-	Scenario []string
-	Index    []int
-	Label    []string
-
-	// Spec columns (core.SystemSpec flattened).
-	SpecBoards             []int
-	SpecBoardSpacingM      []float64
-	SpecBoardEdgeM         []float64
-	SpecNodesPerBoard      []int
-	SpecLinkRateGbps       []float64
-	SpecLatencyBudgetBits  []int
-	SpecStackModules       []int
-	SpecStackInjectionRate []float64
-	SpecButler             []bool
-	SpecSNRMarginDB        []float64
-
-	// Optional spec sections ride along as pointer columns: the sections
-	// are small, immutable once built, and usually nil, so sharing the
-	// pointer is both cheap and exact (nil-ness round-trips).
-	SpecTraffic      []*core.TrafficSpec
-	SpecInterference []*core.InterferenceSpec
-	SpecPower        []*core.PowerSpec
-
-	Err []string
-
-	TxPowerDBm         []float64
-	SpectralEfficiency []float64
-
-	CodeLifting       []int
-	CodeWindow        []int
-	DecodeLatencyBits []float64
-
-	Topology         []string
-	NoCLatencyCycles []float64
-	NoCSaturation    []float64
-
-	BEREbN0DB        []float64
-	BER              []float64
-	BERCodewords     []int
-	SimLatencyCycles []float64
-	SimLatencyCI95   []float64
-	SimReplications  []int
-
-	Pareto []bool
-}
-
-// Len returns the number of records in the block.
-func (b *RecordBlock) Len() int { return len(b.Index) }
-
-// Append adds one record's fields to the block's columns.
-func (b *RecordBlock) Append(r Record) {
-	b.Scenario = append(b.Scenario, r.Scenario)
-	b.Index = append(b.Index, r.Index)
-	b.Label = append(b.Label, r.Label)
-	b.SpecBoards = append(b.SpecBoards, r.Spec.Boards)
-	b.SpecBoardSpacingM = append(b.SpecBoardSpacingM, r.Spec.BoardSpacingM)
-	b.SpecBoardEdgeM = append(b.SpecBoardEdgeM, r.Spec.BoardEdgeM)
-	b.SpecNodesPerBoard = append(b.SpecNodesPerBoard, r.Spec.NodesPerBoard)
-	b.SpecLinkRateGbps = append(b.SpecLinkRateGbps, r.Spec.LinkRateGbps)
-	b.SpecLatencyBudgetBits = append(b.SpecLatencyBudgetBits, r.Spec.LatencyBudgetBits)
-	b.SpecStackModules = append(b.SpecStackModules, r.Spec.StackModules)
-	b.SpecStackInjectionRate = append(b.SpecStackInjectionRate, r.Spec.StackInjectionRate)
-	b.SpecButler = append(b.SpecButler, r.Spec.Butler)
-	b.SpecSNRMarginDB = append(b.SpecSNRMarginDB, r.Spec.SNRMarginDB)
-	b.SpecTraffic = append(b.SpecTraffic, r.Spec.Traffic)
-	b.SpecInterference = append(b.SpecInterference, r.Spec.Interference)
-	b.SpecPower = append(b.SpecPower, r.Spec.Power)
-	b.Err = append(b.Err, r.Err)
-	b.TxPowerDBm = append(b.TxPowerDBm, r.TxPowerDBm)
-	b.SpectralEfficiency = append(b.SpectralEfficiency, r.SpectralEfficiency)
-	b.CodeLifting = append(b.CodeLifting, r.CodeLifting)
-	b.CodeWindow = append(b.CodeWindow, r.CodeWindow)
-	b.DecodeLatencyBits = append(b.DecodeLatencyBits, r.DecodeLatencyBits)
-	b.Topology = append(b.Topology, r.Topology)
-	b.NoCLatencyCycles = append(b.NoCLatencyCycles, r.NoCLatencyCycles)
-	b.NoCSaturation = append(b.NoCSaturation, r.NoCSaturation)
-	b.BEREbN0DB = append(b.BEREbN0DB, r.BEREbN0DB)
-	b.BER = append(b.BER, r.BER)
-	b.BERCodewords = append(b.BERCodewords, r.BERCodewords)
-	b.SimLatencyCycles = append(b.SimLatencyCycles, r.SimLatencyCycles)
-	b.SimLatencyCI95 = append(b.SimLatencyCI95, r.SimLatencyCI95)
-	b.SimReplications = append(b.SimReplications, r.SimReplications)
-	b.Pareto = append(b.Pareto, r.Pareto)
-}
-
-// BlockRecords builds a block from a record slice.
-func BlockRecords(recs []Record) *RecordBlock {
-	b := &RecordBlock{}
-	for _, r := range recs {
-		b.Append(r)
-	}
-	return b
-}
-
-// Record reconstructs record i from the columns.
-func (b *RecordBlock) Record(i int) Record {
-	return Record{
-		Scenario: b.Scenario[i],
-		Index:    b.Index[i],
-		Label:    b.Label[i],
-		Spec: core.SystemSpec{
-			Boards:             b.SpecBoards[i],
-			BoardSpacingM:      b.SpecBoardSpacingM[i],
-			BoardEdgeM:         b.SpecBoardEdgeM[i],
-			NodesPerBoard:      b.SpecNodesPerBoard[i],
-			LinkRateGbps:       b.SpecLinkRateGbps[i],
-			LatencyBudgetBits:  b.SpecLatencyBudgetBits[i],
-			StackModules:       b.SpecStackModules[i],
-			StackInjectionRate: b.SpecStackInjectionRate[i],
-			Butler:             b.SpecButler[i],
-			SNRMarginDB:        b.SpecSNRMarginDB[i],
-			Traffic:            b.SpecTraffic[i],
-			Interference:       b.SpecInterference[i],
-			Power:              b.SpecPower[i],
-		},
-		Err:                b.Err[i],
-		TxPowerDBm:         b.TxPowerDBm[i],
-		SpectralEfficiency: b.SpectralEfficiency[i],
-		CodeLifting:        b.CodeLifting[i],
-		CodeWindow:         b.CodeWindow[i],
-		DecodeLatencyBits:  b.DecodeLatencyBits[i],
-		Topology:           b.Topology[i],
-		NoCLatencyCycles:   b.NoCLatencyCycles[i],
-		NoCSaturation:      b.NoCSaturation[i],
-		BEREbN0DB:          b.BEREbN0DB[i],
-		BER:                b.BER[i],
-		BERCodewords:       b.BERCodewords[i],
-		SimLatencyCycles:   b.SimLatencyCycles[i],
-		SimLatencyCI95:     b.SimLatencyCI95[i],
-		SimReplications:    b.SimReplications[i],
-		Pareto:             b.Pareto[i],
-	}
-}
-
-// Records materialises the block back into a record slice.
-func (b *RecordBlock) Records() []Record {
-	out := make([]Record, b.Len())
-	for i := range out {
-		out[i] = b.Record(i)
-	}
-	return out
-}
-
-// AppendRecordJSON appends the compact JSON encoding of record i to
-// dst, producing exactly the bytes json.Marshal would for the
-// equivalent Record. A NaN or infinite float returns the failure
-// json.Marshal reports, with dst unchanged.
-func (b *RecordBlock) AppendRecordJSON(dst []byte, i int) ([]byte, error) {
-	return AppendRecordJSON(dst, b.Record(i))
-}
-
 // AppendRecordJSON appends one record's compact JSON to dst —
 // byte-identical to json.Marshal(r): same field order, same omitempty
 // behaviour, same float formatting, same string escaping. It neither
 // reflects nor allocates (beyond growing dst), which is what makes the
-// columnar wire and segment paths cheap.
+// wire, stream and segment paths cheap.
 func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
+	if err := finiteSpec(r.Spec); err != nil {
+		return dst, err
+	}
 	for _, v := range [...]float64{
-		r.Spec.BoardSpacingM, r.Spec.BoardEdgeM, r.Spec.LinkRateGbps,
-		r.Spec.StackInjectionRate, r.Spec.SNRMarginDB,
 		r.TxPowerDBm, r.SpectralEfficiency, r.DecodeLatencyBits,
 		r.NoCLatencyCycles, r.NoCSaturation,
 		r.BEREbN0DB, r.BER,
@@ -191,77 +28,14 @@ func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
 			return dst, err
 		}
 	}
-	// Optional spec sections carry floats too; guard them only when
-	// present so the common nil-section path stays a fixed-size scan.
-	if t := r.Spec.Traffic; t != nil {
-		if err := finiteJSONFloat(t.HotspotFraction); err != nil {
-			return dst, err
-		}
-	}
-	if in := r.Spec.Interference; in != nil {
-		if err := finiteJSONFloat(in.RejectionDB); err != nil {
-			return dst, err
-		}
-	}
-	if p := r.Spec.Power; p != nil {
-		if err := finiteJSONFloat(p.MaxTxPowerDBm); err != nil {
-			return dst, err
-		}
-	}
 	dst = append(dst, `{"scenario":`...)
 	dst = AppendJSONString(dst, r.Scenario)
 	dst = append(dst, `,"index":`...)
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
 	dst = append(dst, `,"label":`...)
 	dst = AppendJSONString(dst, r.Label)
-	// core.SystemSpec has no json tags: keys are the Go field names.
-	dst = append(dst, `,"spec":{"Boards":`...)
-	dst = strconv.AppendInt(dst, int64(r.Spec.Boards), 10)
-	dst = append(dst, `,"BoardSpacingM":`...)
-	dst = appendJSONFloat(dst, r.Spec.BoardSpacingM)
-	dst = append(dst, `,"BoardEdgeM":`...)
-	dst = appendJSONFloat(dst, r.Spec.BoardEdgeM)
-	dst = append(dst, `,"NodesPerBoard":`...)
-	dst = strconv.AppendInt(dst, int64(r.Spec.NodesPerBoard), 10)
-	dst = append(dst, `,"LinkRateGbps":`...)
-	dst = appendJSONFloat(dst, r.Spec.LinkRateGbps)
-	dst = append(dst, `,"LatencyBudgetBits":`...)
-	dst = strconv.AppendInt(dst, int64(r.Spec.LatencyBudgetBits), 10)
-	dst = append(dst, `,"StackModules":`...)
-	dst = strconv.AppendInt(dst, int64(r.Spec.StackModules), 10)
-	dst = append(dst, `,"StackInjectionRate":`...)
-	dst = appendJSONFloat(dst, r.Spec.StackInjectionRate)
-	dst = append(dst, `,"Butler":`...)
-	dst = strconv.AppendBool(dst, r.Spec.Butler)
-	dst = append(dst, `,"SNRMarginDB":`...)
-	dst = appendJSONFloat(dst, r.Spec.SNRMarginDB)
-	// The optional sections are tagged pointers with omitempty: nil
-	// emits nothing (preserving the pre-section byte stream), non-nil
-	// emits every section field in declaration order.
-	if t := r.Spec.Traffic; t != nil {
-		dst = append(dst, `,"traffic":{"pattern":`...)
-		dst = AppendJSONString(dst, t.Pattern)
-		dst = append(dst, `,"hotspot_module":`...)
-		dst = strconv.AppendInt(dst, int64(t.HotspotModule), 10)
-		dst = append(dst, `,"hotspot_fraction":`...)
-		dst = appendJSONFloat(dst, t.HotspotFraction)
-		dst = append(dst, '}')
-	}
-	if in := r.Spec.Interference; in != nil {
-		dst = append(dst, `,"interference":{"neighbors":`...)
-		dst = strconv.AppendInt(dst, int64(in.Neighbors), 10)
-		dst = append(dst, `,"copper_boards":`...)
-		dst = strconv.AppendBool(dst, in.CopperBoards)
-		dst = append(dst, `,"rejection_db":`...)
-		dst = appendJSONFloat(dst, in.RejectionDB)
-		dst = append(dst, '}')
-	}
-	if p := r.Spec.Power; p != nil {
-		dst = append(dst, `,"power":{"max_tx_power_dbm":`...)
-		dst = appendJSONFloat(dst, p.MaxTxPowerDBm)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, '}')
+	dst = append(dst, `,"spec":`...)
+	dst = appendSpecJSON(dst, r.Spec)
 	if r.Err != "" {
 		dst = append(dst, `,"err":`...)
 		dst = AppendJSONString(dst, r.Err)
@@ -312,6 +86,92 @@ func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
 	return dst, nil
 }
 
+// finiteSpec returns the failure json.Marshal reports for the first
+// NaN or infinite float in sp, nil when every float is encodable.
+func finiteSpec(sp core.SystemSpec) error {
+	for _, v := range [...]float64{
+		sp.BoardSpacingM, sp.BoardEdgeM, sp.LinkRateGbps,
+		sp.StackInjectionRate, sp.SNRMarginDB,
+	} {
+		if err := finiteJSONFloat(v); err != nil {
+			return err
+		}
+	}
+	// Optional sections carry floats too; guard them only when present
+	// so the common nil-section path stays a fixed-size scan.
+	if t := sp.Traffic; t != nil {
+		if err := finiteJSONFloat(t.HotspotFraction); err != nil {
+			return err
+		}
+	}
+	if in := sp.Interference; in != nil {
+		if err := finiteJSONFloat(in.RejectionDB); err != nil {
+			return err
+		}
+	}
+	if p := sp.Power; p != nil {
+		if err := finiteJSONFloat(p.MaxTxPowerDBm); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendSpecJSON appends json.Marshal(sp)'s bytes to dst. Records and
+// point keys both embed the spec, so this is the one encoder for it.
+// Callers have already run finiteSpec.
+func appendSpecJSON(dst []byte, sp core.SystemSpec) []byte {
+	// core.SystemSpec has no json tags on its scalar fields: keys are
+	// the Go field names.
+	dst = append(dst, `{"Boards":`...)
+	dst = strconv.AppendInt(dst, int64(sp.Boards), 10)
+	dst = append(dst, `,"BoardSpacingM":`...)
+	dst = appendJSONFloat(dst, sp.BoardSpacingM)
+	dst = append(dst, `,"BoardEdgeM":`...)
+	dst = appendJSONFloat(dst, sp.BoardEdgeM)
+	dst = append(dst, `,"NodesPerBoard":`...)
+	dst = strconv.AppendInt(dst, int64(sp.NodesPerBoard), 10)
+	dst = append(dst, `,"LinkRateGbps":`...)
+	dst = appendJSONFloat(dst, sp.LinkRateGbps)
+	dst = append(dst, `,"LatencyBudgetBits":`...)
+	dst = strconv.AppendInt(dst, int64(sp.LatencyBudgetBits), 10)
+	dst = append(dst, `,"StackModules":`...)
+	dst = strconv.AppendInt(dst, int64(sp.StackModules), 10)
+	dst = append(dst, `,"StackInjectionRate":`...)
+	dst = appendJSONFloat(dst, sp.StackInjectionRate)
+	dst = append(dst, `,"Butler":`...)
+	dst = strconv.AppendBool(dst, sp.Butler)
+	dst = append(dst, `,"SNRMarginDB":`...)
+	dst = appendJSONFloat(dst, sp.SNRMarginDB)
+	// The optional sections are tagged pointers with omitempty: nil
+	// emits nothing (preserving the pre-section byte stream), non-nil
+	// emits every section field in declaration order.
+	if t := sp.Traffic; t != nil {
+		dst = append(dst, `,"traffic":{"pattern":`...)
+		dst = AppendJSONString(dst, t.Pattern)
+		dst = append(dst, `,"hotspot_module":`...)
+		dst = strconv.AppendInt(dst, int64(t.HotspotModule), 10)
+		dst = append(dst, `,"hotspot_fraction":`...)
+		dst = appendJSONFloat(dst, t.HotspotFraction)
+		dst = append(dst, '}')
+	}
+	if in := sp.Interference; in != nil {
+		dst = append(dst, `,"interference":{"neighbors":`...)
+		dst = strconv.AppendInt(dst, int64(in.Neighbors), 10)
+		dst = append(dst, `,"copper_boards":`...)
+		dst = strconv.AppendBool(dst, in.CopperBoards)
+		dst = append(dst, `,"rejection_db":`...)
+		dst = appendJSONFloat(dst, in.RejectionDB)
+		dst = append(dst, '}')
+	}
+	if p := sp.Power; p != nil {
+		dst = append(dst, `,"power":{"max_tx_power_dbm":`...)
+		dst = appendJSONFloat(dst, p.MaxTxPowerDBm)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
 // finiteJSONFloat rejects the floats encoding/json refuses, matching
 // its *UnsupportedValueError text so callers switching to this encoder
 // see familiar failures.
@@ -328,6 +188,12 @@ func finiteJSONFloat(v float64) error {
 // "1e-07"). Callers have already rejected NaN and infinities.
 func appendJSONFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
+	// Integral values below 1e15 (inside float64's exact-integer range)
+	// print as their integer digits; most spec knobs are integral.
+	// Negative zero takes the general path, which keeps its sign.
+	if abs < 1e15 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -410,16 +276,17 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendRecordsJSON appends a compact JSON array of every record in
-// the block — the chunk-completion wire shape — to dst.
-func (b *RecordBlock) AppendRecordsJSON(dst []byte) ([]byte, error) {
+// AppendRecordsJSON appends a compact JSON array of recs — the
+// chunk-completion wire shape — to dst: json.Marshal(recs)'s bytes,
+// except that an empty or nil slice encodes as [].
+func AppendRecordsJSON(dst []byte, recs []Record) ([]byte, error) {
 	dst = append(dst, '[')
-	for i := 0; i < b.Len(); i++ {
+	for i, r := range recs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		var err error
-		if dst, err = b.AppendRecordJSON(dst, i); err != nil {
+		if dst, err = AppendRecordJSON(dst, r); err != nil {
 			return dst, err
 		}
 	}

@@ -37,6 +37,8 @@ func columnarCorpus() []Record {
 		{TxPowerDBm: 1e-7, SpectralEfficiency: 1e21, NoCLatencyCycles: 9.999999e20,
 			NoCSaturation: 1.0000001e-6, DecodeLatencyBits: 5e-324, SimLatencyCycles: math.MaxFloat64},
 		{TxPowerDBm: math.Copysign(0, -1), BER: 0.1, BEREbN0DB: -2.5},
+		{TxPowerDBm: 999999999999999, SpectralEfficiency: 1e15, DecodeLatencyBits: -7,
+			NoCLatencyCycles: -(1 << 53) - 2, NoCSaturation: 1 << 60, BER: 1e20, SimLatencyCycles: 4096},
 		{BER: 3.141592653589793, SimLatencyCI95: 2.718281828459045e-15},
 		{
 			Scenario: "spec-sections", Index: 11,
@@ -79,12 +81,18 @@ func TestAppendRecordsJSONMatchesMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BlockRecords(recs).AppendRecordsJSON(nil)
+	got, err := AppendRecordsJSON(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("array encoding mismatch\n got %s\nwant %s", got, want)
+	}
+	// An empty chunk posts [], never null.
+	for _, empty := range [][]Record{nil, {}} {
+		if got, err := AppendRecordsJSON([]byte("x"), empty); err != nil || string(got) != "x[]" {
+			t.Errorf("empty records: got %q, %v; want \"x[]\"", got, err)
+		}
 	}
 }
 
@@ -113,78 +121,11 @@ func TestAppendRecordJSONRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// recordsBitEqual compares records exactly, treating floats by bit
-// pattern so NaN payloads and negative zero count.
-// specSectionsBitEqual compares the optional spec sections exactly,
-// nil-ness included.
-func specSectionsBitEqual(a, b core.SystemSpec) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if (a.Traffic == nil) != (b.Traffic == nil) ||
-		(a.Interference == nil) != (b.Interference == nil) ||
-		(a.Power == nil) != (b.Power == nil) {
-		return false
-	}
-	if a.Traffic != nil && (a.Traffic.Pattern != b.Traffic.Pattern ||
-		a.Traffic.HotspotModule != b.Traffic.HotspotModule ||
-		!feq(a.Traffic.HotspotFraction, b.Traffic.HotspotFraction)) {
-		return false
-	}
-	if a.Interference != nil && (a.Interference.Neighbors != b.Interference.Neighbors ||
-		a.Interference.CopperBoards != b.Interference.CopperBoards ||
-		!feq(a.Interference.RejectionDB, b.Interference.RejectionDB)) {
-		return false
-	}
-	if a.Power != nil && !feq(a.Power.MaxTxPowerDBm, b.Power.MaxTxPowerDBm) {
-		return false
-	}
-	return true
-}
-
-func recordsBitEqual(a, b Record) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return specSectionsBitEqual(a.Spec, b.Spec) &&
-		a.Scenario == b.Scenario && a.Index == b.Index && a.Label == b.Label &&
-		a.Spec.Boards == b.Spec.Boards && feq(a.Spec.BoardSpacingM, b.Spec.BoardSpacingM) &&
-		feq(a.Spec.BoardEdgeM, b.Spec.BoardEdgeM) && a.Spec.NodesPerBoard == b.Spec.NodesPerBoard &&
-		feq(a.Spec.LinkRateGbps, b.Spec.LinkRateGbps) && a.Spec.LatencyBudgetBits == b.Spec.LatencyBudgetBits &&
-		a.Spec.StackModules == b.Spec.StackModules && feq(a.Spec.StackInjectionRate, b.Spec.StackInjectionRate) &&
-		a.Spec.Butler == b.Spec.Butler && feq(a.Spec.SNRMarginDB, b.Spec.SNRMarginDB) &&
-		a.Err == b.Err && feq(a.TxPowerDBm, b.TxPowerDBm) &&
-		feq(a.SpectralEfficiency, b.SpectralEfficiency) && a.CodeLifting == b.CodeLifting &&
-		a.CodeWindow == b.CodeWindow && feq(a.DecodeLatencyBits, b.DecodeLatencyBits) &&
-		a.Topology == b.Topology && feq(a.NoCLatencyCycles, b.NoCLatencyCycles) &&
-		feq(a.NoCSaturation, b.NoCSaturation) && feq(a.BEREbN0DB, b.BEREbN0DB) &&
-		feq(a.BER, b.BER) && a.BERCodewords == b.BERCodewords &&
-		feq(a.SimLatencyCycles, b.SimLatencyCycles) && feq(a.SimLatencyCI95, b.SimLatencyCI95) &&
-		a.SimReplications == b.SimReplications && a.Pareto == b.Pareto
-}
-
-// TestRecordBlockRoundTrip checks the in-memory columnar round trip,
-// including non-finite floats the JSON encoder refuses: the block
-// itself must carry them losslessly.
-func TestRecordBlockRoundTrip(t *testing.T) {
-	recs := append(columnarCorpus(), Record{
-		BER:              math.NaN(),
-		SimLatencyCycles: math.Inf(1),
-		SimLatencyCI95:   math.Inf(-1),
-		TxPowerDBm:       math.Float64frombits(0x7ff8_dead_beef_0001), // NaN with payload
-	})
-	b := BlockRecords(recs)
-	if b.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(recs))
-	}
-	back := b.Records()
-	for i := range recs {
-		if !recordsBitEqual(recs[i], back[i]) {
-			t.Errorf("record %d: round trip drifted\n got %+v\nwant %+v", i, back[i], recs[i])
-		}
-	}
-}
-
 // FuzzRecordColumnarRoundTrip drives records with fuzzer-chosen field
-// values — float bit patterns included, so NaN payloads and infinities
-// appear — through the block round trip and, when finite, through the
-// JSON identity against encoding/json.
+// values — float bit patterns included, so NaN payloads, infinities,
+// negative zero and huge integers appear — through the JSON identity
+// against encoding/json, and the record's point through the Keyer
+// against the encoding/json PointKey.
 func FuzzRecordColumnarRoundTrip(f *testing.F) {
 	f.Add("paper-grid", "label", "", "mesh", 3, 0.1, -3.75, uint64(0x3ff0000000000000), uint64(0), 4096, true, false)
 	f.Add("", "", "infeasible", "", -1, 1e-7, 1e21, uint64(0x7ff8000000000001), uint64(0xfff0000000000000), 0, false, true)
@@ -224,13 +165,6 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 			}
 			r.Spec.Power = &core.PowerSpec{MaxTxPowerDBm: math.Float64frombits(bits2 ^ 0xff)}
 		}
-		b := BlockRecords([]Record{r, r})
-		for i := 0; i < b.Len(); i++ {
-			if got := b.Record(i); !recordsBitEqual(r, got) {
-				t.Fatalf("row %d: block round trip drifted\n got %+v\nwant %+v", i, got, r)
-			}
-		}
-
 		want, werr := json.Marshal(r)
 		got, gerr := AppendRecordJSON(nil, r)
 		if (werr == nil) != (gerr == nil) {
@@ -245,5 +179,28 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 				t.Fatalf("re-decode: %v", err)
 			}
 		}
+
+		// The Keyer encodes the spec through the same encoder. Both key
+		// paths must agree on every encodable spec and both must refuse
+		// (panic on) a non-finite one.
+		pt := Point{Index: r.Index, Label: r.Label, Spec: r.Spec}
+		seed := bits1 ^ bits2
+		wantKey, wantPanic := keyOrPanic(func() string { return PointKey(scenario, pt, SmokeBudget(), seed) })
+		gotKey, gotPanic := keyOrPanic(func() string { return NewKeyer(scenario, SmokeBudget(), seed).Key(pt) })
+		if wantPanic != gotPanic || gotKey != wantKey {
+			t.Fatalf("keyer diverged from PointKey: got %q (panic %v), want %q (panic %v)",
+				gotKey, gotPanic, wantKey, wantPanic)
+		}
 	})
+}
+
+// keyOrPanic runs a key computation, reporting a panic instead of
+// propagating it.
+func keyOrPanic(key func() string) (k string, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return key(), false
 }

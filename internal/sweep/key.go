@@ -62,18 +62,22 @@ func PointKey(scenario string, pt Point, b Budget, seed uint64) string {
 		panic("sweep: point key envelope: " + err.Error())
 	}
 	sum := sha256.Sum256(env)
-	return hex.EncodeToString(sum[:])
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // Keyer computes PointKeys for a fixed (scenario, budget, seed)
 // context. Within one sweep only the point varies between keys, so the
-// envelope's constant head and tail are rendered once and each key
-// costs one Point marshal plus the hash — on a fully warm store this
-// is the dominant per-point cost. Keys are byte-identical to PointKey:
-// encoding/json emits a struct as its fields in declaration order with
-// no whitespace, so splicing an identically encoded Point between the
-// pre-rendered segments reproduces the canonical envelope exactly
-// (pinned by TestKeyerMatchesPointKey).
+// envelope's constant head and tail are rendered once, and each key
+// costs one reflection-free point encoding (the spec through
+// appendSpecJSON, the encoder records use) plus the hash — on a fully
+// warm store this is the dominant per-point cost. Keys are
+// byte-identical to PointKey: encoding/json emits a struct as its
+// fields in declaration order with no whitespace, so splicing an
+// identically encoded Point between the pre-rendered segments
+// reproduces the canonical envelope exactly (pinned by
+// TestKeyerMatchesPointKey and FuzzRecordColumnarRoundTrip).
 //
 // A Keyer is immutable after construction and safe for concurrent use.
 type Keyer struct {
@@ -82,10 +86,6 @@ type Keyer struct {
 
 // NewKeyer pre-renders the constant envelope segments.
 func NewKeyer(scenario string, b Budget, seed uint64) *Keyer {
-	scen, err := json.Marshal(scenario)
-	if err != nil {
-		panic("sweep: keyer scenario: " + err.Error())
-	}
 	bud, err := json.Marshal(b)
 	if err != nil {
 		panic("sweep: keyer budget: " + err.Error())
@@ -94,10 +94,10 @@ func NewKeyer(scenario string, b Budget, seed uint64) *Keyer {
 	head = append(head, `{"engine":`...)
 	head = strconv.AppendInt(head, EngineVersion, 10)
 	head = append(head, `,"scenario":`...)
-	head = append(head, scen...)
-	head = append(head, `,"point":`...)
+	head = AppendJSONString(head, scenario)
+	head = append(head, `,"point":{"index":`...)
 	var tail []byte
-	tail = append(tail, `,"budget":`...)
+	tail = append(tail, `},"budget":`...)
 	tail = append(tail, bud...)
 	tail = append(tail, `,"seed":`...)
 	tail = strconv.AppendUint(tail, seed, 10)
@@ -106,16 +106,22 @@ func NewKeyer(scenario string, b Budget, seed uint64) *Keyer {
 }
 
 // Key returns PointKey(scenario, pt, budget, seed) for the Keyer's
-// context.
+// context. A NaN or infinite spec float panics, as PointKey's
+// json.Marshal failure does.
 func (k *Keyer) Key(pt Point) string {
-	pj, err := json.Marshal(pt)
-	if err != nil {
+	if err := finiteSpec(pt.Spec); err != nil {
 		panic("sweep: keyer point: " + err.Error())
 	}
-	h := sha256.New()
-	h.Write(k.head)
-	h.Write(pj)
-	h.Write(k.tail)
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	var scratch [1024]byte
+	env := append(scratch[:0], k.head...)
+	env = strconv.AppendInt(env, int64(pt.Index), 10)
+	env = append(env, `,"label":`...)
+	env = AppendJSONString(env, pt.Label)
+	env = append(env, `,"spec":`...)
+	env = appendSpecJSON(env, pt.Spec)
+	env = append(env, k.tail...)
+	sum := sha256.Sum256(env)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
