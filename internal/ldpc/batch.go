@@ -72,6 +72,14 @@ type BatchDecoder struct {
 	// variable update consumes for masked posterior stores.
 	activeVec []float64
 
+	// laneOf maps each slot (column of the SoA rows) to the codeword
+	// it holds, an index into the decode's input batch. Decode resets
+	// it to input order; decodeRangeBatch permutes it when it packs the
+	// live lanes into the low register groups (see compact). Everything
+	// read in codeword order — hard decisions, convergence, iteration
+	// counts — goes through it.
+	laneOf [MaxBatchLanes]uint8
+
 	// tanh holds elementwise tanhHalf(varToChk) for the vectorized
 	// sum-product update (edge-major rows, same layout as varToChk).
 	tanh []float64
@@ -85,6 +93,7 @@ type BatchDecoder struct {
 	outBuf  []float64
 	tanhBuf []float64
 
+	// Per-codeword outcome, indexed in input order (not by slot).
 	iterations []int
 	converged  []bool
 	hard       [][]uint8
@@ -152,18 +161,11 @@ func (b *BatchDecoder) Lanes() int { return b.lanes }
 // LLR vectors, one per lane. len(llrs) must be in [1, Lanes()] — ragged
 // tail batches simply occupy fewer lanes. Each lane early-terminates
 // independently on a zero syndrome, exactly like the scalar Decode.
+// The result rows are in input order whatever slots the lanes ended in.
 func (b *BatchDecoder) Decode(llrs [][]float64) BatchResult {
 	c := b.code
 	n := len(llrs)
-	if n < 1 || n > b.lanes {
-		panic(fmt.Sprintf("ldpc: batch size %d outside [1, %d]", n, b.lanes))
-	}
-	for l, llr := range llrs {
-		if len(llr) != c.NumVars {
-			panic(fmt.Sprintf("ldpc: lane %d LLR length %d, want %d", l, len(llr), c.NumVars))
-		}
-		b.SetChannelLLR(l, llr)
-	}
+	b.load(llrs)
 	b.decodeRangeBatch(0, c.NumChecks, 0, c.NumVars, n)
 	return BatchResult{
 		Hard:       b.hardRows(n, 0, c.NumVars),
@@ -172,14 +174,23 @@ func (b *BatchDecoder) Decode(llrs [][]float64) BatchResult {
 	}
 }
 
-// SetChannelLLR scatters one codeword's channel LLRs into the lane
-// column of the decoder's SoA input buffer. Callers that produce LLRs
-// incrementally (SimulateBER's noise generation, the window decoder's
-// soft feedback) use it to avoid staging [][]float64 batches.
-func (b *BatchDecoder) SetChannelLLR(lane int, llr []float64) {
+// load validates a batch, resets the slot map to input order and
+// scatters each codeword's channel LLRs into its slot's column of the
+// SoA input buffer.
+func (b *BatchDecoder) load(llrs [][]float64) {
+	c := b.code
+	if n := len(llrs); n < 1 || n > b.lanes {
+		panic(fmt.Sprintf("ldpc: batch size %d outside [1, %d]", n, b.lanes))
+	}
 	s := b.stride
-	for v, x := range llr {
-		b.chLLR[v*s+lane] = x
+	for l, llr := range llrs {
+		if len(llr) != c.NumVars {
+			panic(fmt.Sprintf("ldpc: lane %d LLR length %d, want %d", l, len(llr), c.NumVars))
+		}
+		b.laneOf[l] = uint8(l)
+		for v, x := range llr {
+			b.chLLR[v*s+l] = x
+		}
 	}
 }
 
@@ -188,9 +199,10 @@ func laneMask(n int) uint64 { return uint64(1)<<uint(n) - 1 }
 
 // decodeRangeBatch is the batched counterpart of decodeRange: lockstep
 // BP over checks [chkLo, chkHi) and variables [varLo, varHi) for the
-// first nLanes lanes, reading channel LLRs from the SoA chLLR buffer.
-// Per-lane results land in b.converged / b.iterations / b.hardBits /
-// b.posterior.
+// first nLanes slots, reading channel LLRs from the SoA chLLR buffer.
+// Per-codeword results land in b.converged / b.iterations; per-slot
+// results in b.hardBits / b.posterior. Flooding may leave the lanes
+// permuted across slots (b.laneOf records where each codeword went).
 func (b *BatchDecoder) decodeRangeBatch(chkLo, chkHi, varLo, varHi, nLanes int) {
 	if b.Sched == Layered {
 		b.decodeLayeredBatch(chkLo, chkHi, varLo, varHi, nLanes)
@@ -229,13 +241,104 @@ func (b *BatchDecoder) decodeRangeBatch(chkLo, chkHi, varLo, varHi, nLanes int) 
 		b.batchVarUpdate(chkLo, chkHi, varLo, varHi, active)
 		bad := b.batchSyndrome(chkLo, chkHi, active)
 		if newly := active &^ bad; newly != 0 {
-			for l := 0; l < nLanes; l++ {
-				if newly&(1<<uint(l)) != 0 {
-					b.converged[l] = true
-					b.iterations[l] = iter + 1
-				}
-			}
+			b.retire(newly, iter)
 			active = bad
+			if active != 0 && iter+1 < b.MaxIter {
+				active = b.compact(active, chkLo, chkHi, varLo, varHi)
+			}
+		}
+	}
+}
+
+// retire records the slots of newly as converged after iteration iter
+// (0-based), under the codewords they hold.
+func (b *BatchDecoder) retire(newly uint64, iter int) {
+	for rem := newly; rem != 0; rem &= rem - 1 {
+		l := b.laneOf[bits.TrailingZeros64(rem)]
+		b.converged[l] = true
+		b.iterations[l] = iter + 1
+	}
+}
+
+// compact packs the live slots of active into the lowest slots when
+// they occupy more register groups than ceil(live/laneWidth): the
+// kernels skip a group only once all its lanes have retired, so a few
+// stragglers spread over many groups would otherwise cost full groups.
+// Each live slot at or above the packed boundary trades places with a
+// retired slot below it. Per-lane arithmetic is element-wise and
+// independent of the slot, so moving a lane's state changes no output
+// bit. Only the state the rest of the range and the later window
+// positions read moves: the range's varToChk rows, the posteriors and
+// hard decisions of [varLo, varHi), and the channel LLRs from varLo
+// on. A retired lane's messages are dead, so varToChk is overwritten
+// rather than swapped; chkToVar is not moved at all, because the next
+// check update rebuilds it from varToChk before anything reads it.
+// compact returns the packed active mask and shrinks b.width to the
+// packed groups.
+func (b *BatchDecoder) compact(active uint64, chkLo, chkHi, varLo, varHi int) uint64 {
+	live := bits.OnesCount64(active)
+	w := laneWidth
+	packed := laneMask(live)
+	width := (live + w - 1) &^ (w - 1)
+	groups := 0
+	for g := 0; g < b.width; g += w {
+		if active>>uint(g)&laneMask(w) != 0 {
+			groups++
+		}
+	}
+	if groups*w <= width {
+		return active
+	}
+	// Pair the k-th hole below the boundary with the k-th live slot at
+	// or above it.
+	var holes, movers [MaxBatchLanes / 2]int
+	k := 0
+	for h, m := packed&^active, active&^packed; m != 0; h, m = h&(h-1), m&(m-1) {
+		holes[k], movers[k] = bits.TrailingZeros64(h), bits.TrailingZeros64(m)
+		k++
+	}
+	hs, ms := holes[:k], movers[:k]
+
+	c := b.code
+	s := b.stride
+	eLo, eHi := int(c.checkPtr[chkLo])*s, int(c.checkPtr[chkHi])*s
+	moveLanes(b.varToChk[eLo:eHi], s, hs, ms)
+	swapLanes(b.posterior[varLo*s:varHi*s], s, hs, ms)
+	swapLanes(b.chLLR[varLo*s:c.NumVars*s], s, hs, ms)
+	hard := b.hardBits[varLo:varHi]
+	for v, x := range hard {
+		for i, h := range hs {
+			d := (x>>uint(h) ^ x>>uint(ms[i])) & 1
+			x ^= d<<uint(h) | d<<uint(ms[i])
+		}
+		hard[v] = x
+	}
+	for i, h := range hs {
+		b.laneOf[h], b.laneOf[ms[i]] = b.laneOf[ms[i]], b.laneOf[h]
+	}
+	b.width = width
+	return packed
+}
+
+// moveLanes copies lane movers[i] onto lane holes[i] in every
+// stride-wide row of rows.
+func moveLanes(rows []float64, stride int, holes, movers []int) {
+	for r := 0; r < len(rows); r += stride {
+		row := rows[r : r+stride]
+		for i, h := range holes {
+			row[h] = row[movers[i]]
+		}
+	}
+}
+
+// swapLanes exchanges lanes holes[i] and movers[i] in every
+// stride-wide row of rows.
+func swapLanes(rows []float64, stride int, holes, movers []int) {
+	for r := 0; r < len(rows); r += stride {
+		row := rows[r : r+stride]
+		for i, h := range holes {
+			m := movers[i]
+			row[h], row[m] = row[m], row[h]
 		}
 	}
 }
@@ -445,20 +548,16 @@ func (b *BatchDecoder) decodeLayeredBatch(chkLo, chkHi, varLo, varHi, nLanes int
 		}
 		bad := b.batchSyndrome(chkLo, chkHi, active)
 		if newly := active &^ bad; newly != 0 {
-			for l := 0; l < nLanes; l++ {
-				if newly&(1<<uint(l)) != 0 {
-					b.converged[l] = true
-					b.iterations[l] = iter + 1
-				}
-			}
+			b.retire(newly, iter)
 			active = bad
 		}
 	}
 }
 
 // hardRows transposes the per-variable hard-decision bitmasks into
-// per-lane byte slices for [varLo, varHi) (other positions stay zero).
-// The row buffers are reused across calls.
+// per-codeword byte slices for [varLo, varHi) (other positions stay
+// zero), mapping each slot back to its codeword. The row buffers are
+// reused across calls.
 func (b *BatchDecoder) hardRows(nLanes, varLo, varHi int) [][]uint8 {
 	c := b.code
 	if cap(b.hard) < nLanes {
@@ -473,7 +572,7 @@ func (b *BatchDecoder) hardRows(nLanes, varLo, varHi int) [][]uint8 {
 	for v := varLo; v < varHi; v++ {
 		bits := b.hardBits[v]
 		for l := 0; l < nLanes; l++ {
-			b.hard[l][v] = uint8(bits >> uint(l) & 1)
+			b.hard[b.laneOf[l]][v] = uint8(bits >> uint(l) & 1)
 		}
 	}
 	return b.hard

@@ -24,6 +24,17 @@ func confLLRs(seed uint64, count, n int, scale, noise float64) [][]float64 {
 	return out
 }
 
+// lanePosterior reads codeword lane's posterior for variable v through
+// the slot map: after a flooding decode the codeword may sit in any slot.
+func (b *BatchDecoder) lanePosterior(lane, v int) float64 {
+	for slot, l := range b.laneOf[:b.lanes] {
+		if int(l) == lane {
+			return b.posterior[v*b.stride+slot]
+		}
+	}
+	panic("ldpc: lane not in the slot map")
+}
+
 // assertLaneMatchesScalar compares one batch lane against a fresh
 // scalar decode of the same input, bit for bit: hard decisions,
 // convergence flag, iteration count and the full posterior vector.
@@ -43,7 +54,7 @@ func assertLaneMatchesScalar(t *testing.T, code *Code, alg Algorithm, sched Sche
 		if res.Hard[lane][v] != want.Hard[v] {
 			t.Fatalf("lane %d: hard[%d]=%d, scalar=%d", lane, v, res.Hard[lane][v], want.Hard[v])
 		}
-		got := b.posterior[v*b.stride+lane]
+		got := b.lanePosterior(lane, v)
 		ref := d.Posterior()[v]
 		if math.Float64bits(got) != math.Float64bits(ref) {
 			t.Fatalf("lane %d: posterior[%d]=%x (%g), scalar=%x (%g)",
@@ -147,6 +158,73 @@ func TestWindowDecodeBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// slotsPermuted reports whether the decoder's first n slots no longer
+// hold the codewords in input order, i.e. compaction moved lanes.
+func slotsPermuted(b *BatchDecoder, n int) bool {
+	for slot, l := range b.laneOf[:n] {
+		if int(l) != slot {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWindowDecodeBatchCompaction decodes a full 64-lane batch of the
+// smoke-budget code (N=40, L=16) at an operating point where lanes
+// converge at scattered iterations, so the flooding decode packs live
+// lanes into the low register groups mid-decode. Every lane must stay
+// bit-exact with the scalar oracle when read through the slot map:
+// BatchDecoder.Decode's hard decisions, iterations and posteriors, and
+// the sliding window's hard decisions. It runs at the CPU's kernel
+// width and again with the 4-lane AVX2 kernels forced, so both group
+// sizes are covered on a CPU with AVX-512. It must not run in parallel:
+// it switches package-level kernel state.
+func TestWindowDecodeBatchCompaction(t *testing.T) {
+	code := LiftConvolutional(PaperSpreading(), 16, 40, 3)
+	const lanes, w = MaxBatchLanes, 5
+	// All-zero codewords over BPSK/AWGN, drawn as SimulateBER draws them.
+	channel := func(seed uint64, ebN0 float64) [][]float64 {
+		sigma := NoiseSigma(ebN0, code.Rate())
+		return confLLRs(seed, lanes, code.NumVars, 2/(sigma*sigma), sigma)
+	}
+	check := func(t *testing.T) {
+		llrs := channel(29, 3.5)
+		b := NewBatchDecoder(code, SumProduct, 20, lanes)
+		res := b.Decode(llrs)
+		iters := map[int]bool{}
+		for lane := range llrs {
+			iters[res.Iterations[lane]] = true
+			assertLaneMatchesScalar(t, code, SumProduct, Flooding, 20, b, res, lane, llrs[lane])
+		}
+		if len(iters) < 4 || !slotsPermuted(b, lanes) {
+			t.Fatalf("%d distinct iteration counts, slots permuted %v: the operating point no longer exercises compaction",
+				len(iters), slotsPermuted(b, lanes))
+		}
+
+		llrs = channel(31, 3)
+		wd := NewWindowDecoder(code, w, SumProduct, 20)
+		got := wd.DecodeBatch(llrs)
+		if !slotsPermuted(wd.batch, lanes) {
+			t.Fatal("window decode left every lane in its input slot: compaction never fired")
+		}
+		ref := NewWindowDecoder(code, w, SumProduct, 20)
+		for lane, llr := range llrs {
+			want := ref.Decode(llr)
+			for v := range want {
+				if got[lane][v] != want[v] {
+					t.Fatalf("lane %d: hard[%d]=%d, scalar=%d", lane, v, got[lane][v], want[v])
+				}
+			}
+		}
+	}
+	t.Run("cpu", check)
+	restore, ok := forceAVX2Kernels()
+	defer restore()
+	if ok {
+		t.Run("avx2", check)
+	}
+}
+
 // TestBatchDecoderLaneBounds pins the panic contract on batch sizes.
 func TestBatchDecoderLaneBounds(t *testing.T) {
 	code := Lift(Regular48(), 12, 1)
@@ -181,7 +259,7 @@ func FuzzDecodeBatchMatchesScalar(f *testing.F) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		nLanes := int(lanes%16) + 1
+		nLanes := int(lanes%64) + 1
 		llrs := make([][]float64, nLanes)
 		for l := range llrs {
 			llr := make([]float64, n)
@@ -225,7 +303,7 @@ func FuzzDecodeBatchMatchesScalar(f *testing.F) {
 				// oracle's own payloads are not build-stable. Payloads
 				// never influence control flow — every comparison treats
 				// all NaNs identically — so NaN-ness is the invariant.
-				gf, rf := b.posterior[v*b.stride+lane], d.Posterior()[v]
+				gf, rf := b.lanePosterior(lane, v), d.Posterior()[v]
 				if g, r := math.Float64bits(gf), math.Float64bits(rf); g != r && !(math.IsNaN(gf) && math.IsNaN(rf)) {
 					t.Fatalf("lane %d: posterior[%d] bits %x, scalar %x", lane, v, g, r)
 				}

@@ -107,9 +107,13 @@ func (w *WindowDecoder) Decode(channelLLR []float64) []uint8 {
 // result is bit-identical to Decode(llrs[l]): every window position
 // decodes all lanes with the same schedule, freezes the target block
 // per lane from that lane's own posterior, and feeds the soft decision
-// back into that lane's channel column. len(llrs) must be in
-// [1, MaxBatchLanes]. The returned rows are owned by the decoder and
-// valid until its next DecodeBatch call; the inputs are not modified.
+// back into that lane's channel column. The slot permutation the
+// flooding decode leaves behind carries over from one window position
+// to the next and is never undone: the feedback writes each slot's own
+// column, and output rows are found through the slot map. len(llrs)
+// must be in [1, MaxBatchLanes]. The returned rows are owned by the
+// decoder and valid until its next DecodeBatch call; the inputs are not
+// modified.
 func (w *WindowDecoder) DecodeBatch(llrs [][]float64) [][]uint8 {
 	c := w.code
 	n := len(llrs)
@@ -121,12 +125,7 @@ func (w *WindowDecoder) DecodeBatch(llrs [][]float64) [][]uint8 {
 	}
 	b := w.batch
 	b.Alg, b.Sched, b.MaxIter = w.dec.Alg, w.dec.Sched, w.dec.MaxIter
-	for l, llr := range llrs {
-		if len(llr) != c.NumVars {
-			panic(fmt.Sprintf("ldpc: lane %d LLR length %d, want %d", l, len(llr), c.NumVars))
-		}
-		b.SetChannelLLR(l, llr)
-	}
+	b.load(llrs)
 	if cap(w.out) < n {
 		w.out = append(w.out[:cap(w.out)], make([][]uint8, n-cap(w.out))...)
 	}
@@ -164,7 +163,7 @@ func (w *WindowDecoder) DecodeBatch(llrs [][]float64) [][]uint8 {
 			row := b.posterior[v*s : v*s+n]
 			ch := b.chLLR[v*s : v*s+n]
 			for l := 0; l < n; l++ {
-				w.out[l][v] = uint8(bits >> uint(l) & 1)
+				w.out[b.laneOf[l]][v] = uint8(bits >> uint(l) & 1)
 				ch[l] = clampLLR(row[l], frozenLLR)
 			}
 		}

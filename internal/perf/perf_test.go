@@ -86,6 +86,7 @@ func TestMeasurePropagatesRunError(t *testing.T) {
 func TestCatalogComplete(t *testing.T) {
 	want := []string{
 		"ldpc-decode-paper",
+		"ldpc-window-smoke",
 		"metrics-overhead",
 		"noc-compile-wide",
 		"noc-compiled-fig8",

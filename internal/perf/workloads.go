@@ -76,6 +76,7 @@ func register(w Workload) {
 
 func init() {
 	register(ldpcDecodePaper())
+	register(ldpcWindowSmoke())
 	register(nocCompiledFig8())
 	register(nocCompileWide())
 	register(sweepAnalyticCold())
@@ -110,6 +111,42 @@ func ldpcDecodePaper() Workload {
 				EbN0DB:  3,
 				// Unreachable targets: the run always spends the full
 				// codeword budget, keeping iterations identical.
+				TargetBitErrors:   1 << 30,
+				TargetFrameErrors: 1 << 30,
+				MaxCodewords:      codewords,
+				Seed:              seed,
+				Workers:           1,
+			})
+			if r.Codewords != codewords {
+				return 0, fmt.Errorf("decoded %d codewords, want %d", r.Codewords, codewords)
+			}
+			return float64(r.Codewords), nil
+		},
+	}
+}
+
+// ldpcWindowSmoke measures one full 64-codeword batch of the
+// smoke-budget BER shape (N=40, L=16, W=5, 20 iterations at 3 dB): the
+// decode every smoke sweep point spends most of its time in. A full
+// batch is what lets lanes retire at scattered iterations, so this is
+// the workload that shows live-lane compaction; ldpc-decode-paper's 16
+// codewords fill only two 8-lane groups. Fixed error targets keep the
+// codeword count identical on every iteration.
+func ldpcWindowSmoke() Workload {
+	const codewords = 64
+	return Workload{
+		Name:           "ldpc-window-smoke",
+		MaxAllocsPerOp: 900,
+		Description:    "window-decode one 64-codeword batch of the smoke-budget LDPC-CC (N=40, L=16, W=5, 20 iterations, 3 dB)",
+		Units:          "codewords",
+		Run: func(ctx context.Context, seed uint64) (float64, error) {
+			code := ldpc.LiftConvolutional(ldpc.PaperSpreading(), 16, 40, 3)
+			r := ldpc.SimulateBER(ldpc.BERParams{
+				Code:              code,
+				Alg:               ldpc.SumProduct,
+				MaxIter:           20,
+				Window:            5,
+				EbN0DB:            3,
 				TargetBitErrors:   1 << 30,
 				TargetFrameErrors: 1 << 30,
 				MaxCodewords:      codewords,

@@ -97,7 +97,7 @@ func classify(err error) (status int, code string) {
 }
 
 // writeAPIError is the one shared helper every handler routes non-2xx
-// responses through (tools/apilint enforces this statically): it wraps
+// responses through (tools/servicelint enforces this statically): it wraps
 // the error in the envelope under its classified status and code.
 // Handlers that know better than the classifier (e.g. a 400 for an
 // unreadable body) pass an explicit status and code via writeAPIErrorAs.

@@ -352,7 +352,7 @@ func NewHandler(m *Manager) http.Handler {
 // instrument is the single chokepoint where routes meet the mux: every
 // handler is wrapped in the metrics middleware under its route pattern
 // before registration, so no endpoint can silently escape the per-route
-// histograms and counters. tools/routelint enforces the chokepoint
+// histograms and counters. tools/servicelint enforces the chokepoint
 // statically — a direct mux.Handle/HandleFunc call anywhere else in this
 // file fails CI.
 // Each pattern is also recorded in the route table, which is what

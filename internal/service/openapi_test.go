@@ -12,7 +12,7 @@ import (
 // registeredPatterns scans http.go for instrument(...) registrations —
 // the static truth the drift test compares every other surface against.
 // Syntactic on purpose: a route cannot reach the mux without an
-// instrument call (tools/routelint), so the source scan and the served
+// instrument call (tools/servicelint), so the source scan and the served
 // contract must always agree.
 func registeredPatterns(t *testing.T) []string {
 	t.Helper()

@@ -101,14 +101,75 @@ func instrument(mux *http.ServeMux, pattern string, fn http.HandlerFunc) {
 	}
 }
 
+func TestLintFindsUnenvelopedErrors(t *testing.T) {
+	dir := t.TempDir()
+	// The blessed shape: the envelope helper and the transport it ends
+	// in may write any status; handlers write only 2xx directly.
+	write(t, filepath.Join(dir, "good.go"), `package svc
+
+import (
+	"encoding/json"
+	"net/http"
+)
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+func writeAPIErrorAs(w http.ResponseWriter, status int, code, msg string) {
+	writeJSON(w, status, map[string]string{"code": code, "message": msg})
+}
+
+func ok(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusCreated, "x")
+	w.WriteHeader(204)
+	writeAPIErrorAs(w, http.StatusNotFound, "not_found", "no such job")
+}
+`)
+	// Three bypasses: a non-2xx selector, a non-2xx literal and a
+	// runtime status, each written straight to the response.
+	write(t, filepath.Join(dir, "bad.go"), `package svc
+
+import "net/http"
+
+func sneaky(w http.ResponseWriter, r *http.Request, code int) {
+	writeJSON(w, http.StatusBadRequest, "raw")
+	w.WriteHeader(500)
+	rw := w
+	rw.WriteHeader(code)
+}
+`)
+	write(t, filepath.Join(dir, "bad_test.go"), `package svc
+
+import "net/http"
+
+func testHandler(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusTeapot) }
+`)
+
+	violations, err := lint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(violations) != 3 {
+		t.Fatalf("violations = %v, want exactly the three raw statuses in bad.go", violations)
+	}
+	for _, v := range violations {
+		if !strings.Contains(v, "bad.go") || !strings.Contains(v, "error envelope") {
+			t.Fatalf("violation %q not an envelope bypass attributed to bad.go", v)
+		}
+	}
+}
+
 func TestLintCleanOnThisModule(t *testing.T) {
-	// The repository's own invariant: every internal/service route is
-	// registered through instrument, hence wrapped by the middleware.
+	// The repository's own invariants: every internal/service route is
+	// registered through instrument, hence wrapped by the middleware,
+	// and every non-2xx response goes through the envelope helper.
 	violations, err := lint(filepath.Join("..", "..", "internal", "service"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(violations) != 0 {
-		t.Fatalf("routes bypassing the metrics middleware: %v", violations)
+		t.Fatalf("service invariants broken: %v", violations)
 	}
 }
