@@ -165,8 +165,8 @@ func TestChannelLoadsSymmetricOnUniform(t *testing.T) {
 	// Uniform traffic on a symmetric mesh: the load on a->b equals b->a.
 	topo := m.Topo
 	for _, c := range topo.Channels() {
-		fwd := topo.ChannelID(c.From, c.To)
-		rev := topo.ChannelID(c.To, c.From)
+		fwd := topo.ChannelID(int(c.From), int(c.To))
+		rev := topo.ChannelID(int(c.To), int(c.From))
 		if math.Abs(loads[fwd]-loads[rev]) > 1e-12 {
 			t.Fatalf("asymmetric loads on symmetric mesh: %g vs %g", loads[fwd], loads[rev])
 		}

@@ -11,16 +11,15 @@ import (
 // latency-versus-injection curve through a Compiled model costs
 // O(channels) per point instead of O(modules^2 x hops), which is what
 // makes wide design-space sweeps over large meshes practical; compiling
-// costs O(modules^2) share lookups plus, per source router, the union of
-// its routes (a route tree), so O(router pairs) rather than
-// O(router pairs x hops).
+// costs one share row per module, O(modules^2) in all, plus, per source
+// router, the union of its routes (a route tree), so O(router pairs)
+// rather than O(router pairs x hops).
 //
 // A Compiled value is immutable after construction and safe for
 // concurrent use by multiple goroutines.
 type Compiled struct {
 	m            Model
 	loadsPerUnit []float64
-	capacity     []float64 // per-channel relative capacity
 	// hopShare is Σ share·(routers crossed) over every module pair: a
 	// co-located pair crosses one router, a routed pair hops+1.
 	hopShare   float64
@@ -32,35 +31,34 @@ type Compiled struct {
 // Dimension-order routes have the prefix property (see noc.Mesh.LastHop),
 // so the routes from one source router form a tree rooted at it, and a
 // channel's load from that source is the total traffic of the subtree
-// behind it. Per source router, Compile sums the module shares into a
-// per-destination row, grows the tree by walking each destination up
-// through LastHop until it meets a router already on the tree, and then
-// pushes flow back towards the root chain by chain. A source costs the
-// union of its routes, not the sum of their lengths, and every addition
-// is nonnegative, so a channel no traffic crosses stays exactly 0.
+// behind it. Per source router, Compile sums its modules' share rows
+// (TrafficPattern.Row) into a per-destination-router row, grows the
+// tree by walking each destination up through LastHop until it meets a
+// router already on the tree, and then pushes flow back towards the
+// root chain by chain. A source costs the union of its routes, not the
+// sum of their lengths. Compile panics on a negative or NaN share, so
+// every addition is nonnegative and a channel no traffic crosses stays
+// exactly 0.
 func (m Model) Compile() *Compiled {
 	topo := m.Topo
 	n := topo.NumModules()
 	c := &Compiled{
 		m:            m,
 		loadsPerUnit: make([]float64, topo.NumChannels()),
-		capacity:     make([]float64, topo.NumChannels()),
-	}
-	for i := range c.capacity {
-		c.capacity[i] = m.channelCapacity(i)
 	}
 
 	// Scratch, carved from two allocations. For the current source:
 	// row[r] is the traffic share destined to router r, flow[r] the
 	// share routed through r (its subtree's total), stamp[r] the last
 	// source whose tree r joined, last[r] and prev[r] the final hop of
-	// r's route and the router it leaves. nodes lists the routers on the
-	// tree, every router after its parent. dests lists the routers with
-	// a nonzero row entry, so sparse traffic does not scan every router
-	// per source.
+	// r's route and the router it leaves. shares holds one source
+	// module's share row. nodes lists the routers on the tree, every
+	// router after its parent. dests lists the routers with a nonzero
+	// row entry, so sparse traffic does not scan every router per
+	// source.
 	routers := topo.NumRouters()
-	floats := make([]float64, 2*routers)
-	row, flow := floats[:routers], floats[routers:]
+	floats := make([]float64, 2*routers+n)
+	row, flow, shares := floats[:routers], floats[routers:2*routers], floats[2*routers:]
 	ints := make([]int32, 5*routers)
 	stamp, last, prev := ints[:routers], ints[routers:2*routers], ints[2*routers:3*routers]
 	nodes, dests := ints[3*routers:3*routers:4*routers], ints[4*routers:4*routers:5*routers]
@@ -70,23 +68,30 @@ func (m Model) Compile() *Compiled {
 	conc := topo.Concentration()
 	for rs := 0; rs < routers; rs++ {
 		dests, nodes = dests[:0], nodes[:0]
-		// Module pairs sum in a fixed order, so the floating-point
-		// sums are bit-identical run to run.
+		// Module pairs sum in a fixed order (source-major, destination
+		// ascending), so the floating-point sums are bit-identical run
+		// to run.
 		for s := rs * conc; s < (rs+1)*conc; s++ {
-			for d := 0; d < n; d++ {
-				share := m.Traffic.Share(s, d, n)
-				if share == 0 {
-					continue
+			m.Traffic.Row(s, shares)
+			for rd := 0; rd < routers; rd++ {
+				for _, share := range shares[rd*conc : (rd+1)*conc] {
+					if !(share > 0) {
+						if share == 0 {
+							continue
+						}
+						// A negative share could cancel a row entry
+						// back to 0 and list its router twice.
+						panic(fmt.Sprintf("analytic: %s share %g from module %d is not a fraction", m.Traffic, share, s))
+					}
+					c.totalShare += share
+					if rd == rs {
+						continue // co-located traffic crosses no channel
+					}
+					if row[rd] == 0 {
+						dests = append(dests, int32(rd))
+					}
+					row[rd] += share
 				}
-				c.totalShare += share
-				rd := topo.RouterOf(d)
-				if rd == rs {
-					continue // co-located traffic crosses no channel
-				}
-				if row[rd] == 0 {
-					dests = append(dests, int32(rd))
-				}
-				row[rd] += share
 			}
 		}
 		stamp[rs] = int32(rs)
@@ -145,8 +150,9 @@ func (c *Compiled) ChannelLoadsPerUnit() []float64 { return c.loadsPerUnit }
 // channel reaches unit utilisation.
 func (c *Compiled) SaturationRate() float64 {
 	maxLoad := 0.0
+	chans, capacity := c.m.Topo.Channels(), c.m.capacities()
 	for i, l := range c.loadsPerUnit {
-		if scaled := l / c.capacity[i]; scaled > maxLoad {
+		if scaled := l / capacity[b2i(chans[i].Vertical)]; scaled > maxLoad {
 			maxLoad = scaled
 		}
 	}
@@ -169,8 +175,9 @@ func (c *Compiled) AvgLatency(injectionRate float64) (float64, bool) {
 	}
 	eff := c.m.efficiency()
 	sum := c.hopShare * c.m.routerDelay()
+	chans, capacity := c.m.Topo.Channels(), c.m.capacities()
 	for i, l := range c.loadsPerUnit {
-		rho := l * injectionRate / (eff * c.capacity[i])
+		rho := l * injectionRate / (eff * capacity[b2i(chans[i].Vertical)])
 		if rho >= 1 {
 			return math.Inf(1), false
 		}
@@ -196,4 +203,15 @@ func (c *Compiled) LatencyCurve(rates []float64) []CurvePoint {
 		out[i] = CurvePoint{InjectionRate: r, LatencyCycles: lat, Saturated: !ok}
 	}
 	return out
+}
+
+// capacities returns the relative capacity of an in-plane and of a
+// vertical channel, indexed by b2i(Channel.Vertical).
+func (m Model) capacities() [2]float64 { return [2]float64{1, m.verticalCapacity()} }
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

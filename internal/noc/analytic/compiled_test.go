@@ -127,3 +127,51 @@ func TestCompiledCurveDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// signedShare is a malformed pattern: module 0 sends +0.5 to module 2
+// and bad to module 3, which share a router under concentration 2, so a
+// bad of -0.5 cancels that router's row entry back to 0.
+type signedShare struct{ bad float64 }
+
+func (p signedShare) Share(src, dst, n int) float64 {
+	switch {
+	case src != 0:
+		return 0
+	case dst == 2:
+		return 0.5
+	case dst == 3:
+		return p.bad
+	}
+	return 0
+}
+
+func (p signedShare) Row(src int, dst []float64) {
+	for d := range dst {
+		dst[d] = p.Share(src, d, len(dst))
+	}
+}
+
+func (p signedShare) String() string { return fmt.Sprintf("signed(%g)", p.bad) }
+
+// Compile must reject a negative or NaN share: a cancelled row entry
+// would list its router twice and double-count its flow, and channels
+// no traffic crosses would no longer be exactly 0.
+func TestCompileRejectsNegativeShares(t *testing.T) {
+	for _, bad := range []float64{-0.5, -1e-300, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("share %g compiled without a panic", bad)
+				}
+			}()
+			Model{Topo: noc.NewStarMesh(3, 1, 2), Traffic: signedShare{bad}}.Compile()
+		}()
+	}
+	// The well-formed neighbour compiles: -0 and +0 are both no traffic.
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		c := Model{Topo: noc.NewStarMesh(3, 1, 2), Traffic: signedShare{zero}}.Compile()
+		if got := c.ChannelLoadsPerUnit(); got[0] != 0.5 {
+			t.Errorf("share ±0: channel loads %v, want 0.5 on router 0 -> 1", got)
+		}
+	}
+}

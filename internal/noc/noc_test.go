@@ -40,6 +40,16 @@ func TestMeshCounts(t *testing.T) {
 	}
 }
 
+// newMesh sizes the channel table up front; the count must be exact,
+// pillar meshes whose extents the spacing does not divide included.
+func TestChannelTableSizedExactly(t *testing.T) {
+	for _, m := range routeFamilies() {
+		if len(m.channels) != cap(m.channels) {
+			t.Errorf("%s: %d channels in a table of capacity %d", m.Name(), len(m.channels), cap(m.channels))
+		}
+	}
+}
+
 func TestMeshPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zeroDim":    func() { NewMesh2D(0, 4) },
@@ -97,8 +107,10 @@ func TestDimensionOrderRoute(t *testing.T) {
 }
 
 // routeFamilies covers every topology family the design pipeline
-// compiles (2D, star, 3D, ciliated), ragged extents, and
-// pillar-constrained meshes whose layer changes detour.
+// compiles (2D, star, 3D, ciliated), ragged extents, meshes with a
+// collapsed dimension (extent 1, so its directions have no channel and
+// its stride equals a neighbour's), and pillar-constrained meshes whose
+// layer changes detour, including extents the spacing does not divide.
 func routeFamilies() []*Mesh {
 	return []*Mesh{
 		NewMesh2D(5, 3),
@@ -106,8 +118,14 @@ func routeFamilies() []*Mesh {
 		NewMesh3D(3, 4, 3),
 		NewCiliated3D(3, 3, 2, 2),
 		NewMesh3D(1, 1, 4),
+		NewMesh2D(1, 6),
+		NewMesh2D(6, 1),
+		NewMesh3D(4, 1, 3),
+		NewCiliated3D(1, 3, 2, 2),
 		NewPillarMesh3D(4, 4, 2, 2),
 		NewPillarMesh3D(5, 4, 3, 3),
+		NewPillarMesh3D(7, 5, 2, 2),
+		NewPillarMesh3D(1, 5, 3, 2),
 	}
 }
 
@@ -216,7 +234,7 @@ func TestLastHopRetracesRoute(t *testing.T) {
 					if ch < 0 || len(back) == len(want) {
 						t.Fatalf("%s: LastHop walk %d <- %d stuck at %d (channel %d)", m.Name(), s, d, r, ch)
 					}
-					if c := m.Channels()[ch]; c.From != prev || c.To != r {
+					if c := m.Channels()[ch]; int(c.From) != prev || int(c.To) != r {
 						t.Fatalf("%s: LastHop(%d, %d) = channel %d (%d -> %d), prev %d", m.Name(), s, r, ch, c.From, c.To, prev)
 					}
 					back = append(back, ch)
@@ -231,6 +249,46 @@ func TestLastHopRetracesRoute(t *testing.T) {
 				t.Fatalf("%s: LastHop(%d, %d) = (%d, %d), want (-1, %d)", m.Name(), s, s, ch, prev, s)
 			}
 		}
+	}
+}
+
+// LastHop rejects endpoints outside the mesh, and a route step whose
+// direction-table entry is missing (a corrupted table) panics instead
+// of naming channel -1.
+func TestLastHopPanics(t *testing.T) {
+	m := NewMesh3D(3, 2, 2)
+	n := m.NumRouters()
+	for _, c := range [][2]int{{-1, 0}, {0, -1}, {n, 0}, {0, n}, {n, n}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LastHop(%d, %d) did not panic", c[0], c[1])
+				}
+			}()
+			m.LastHop(c[0], c[1])
+		}()
+	}
+	broken := NewMesh2D(3, 1)
+	broken.chanDir[0*6+1] = -1 // router 0's +X channel
+	defer func() {
+		if recover() == nil {
+			t.Error("LastHop over a missing channel did not panic")
+		}
+	}()
+	broken.LastHop(0, 1)
+}
+
+// ChannelID answers -1 for router pairs whose id delta matches a
+// direction but which are not adjacent (a row wrap) or not in the mesh.
+func TestChannelIDNonAdjacent(t *testing.T) {
+	m := NewMesh2D(4, 4)
+	for _, c := range [][2]int{{3, 4}, {4, 3}, {0, 5}, {0, 0}, {-1, 0}, {0, 16}} {
+		if id := m.ChannelID(c[0], c[1]); id != -1 {
+			t.Errorf("ChannelID(%d, %d) = %d, want -1", c[0], c[1], id)
+		}
+	}
+	if id := NewMesh2D(1, 4).ChannelID(1, 2); id < 0 {
+		t.Error("1x4 mesh: no channel between vertical neighbours 1 and 2")
 	}
 }
 
@@ -384,16 +442,73 @@ func TestHotspotPanicsOnBadFraction(t *testing.T) {
 	Hotspot{Module: 0, Fraction: 1.5}.Share(1, 0, 4)
 }
 
+// Row must write exactly what Share returns for every destination, bit
+// for bit, over sizes with no traffic (0, 1 module), odd sizes (whose
+// middle bit-complement module is silent) and hot modules at either
+// end and at the source itself; sources outside [0, n) included.
+func TestRowMatchesShare(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 65, 320} {
+		row := make([]float64, n)
+		for src := -1; src <= n; src++ {
+			patterns := []TrafficPattern{Uniform{}, BitComplement{}}
+			for _, hot := range []int{0, n - 1, src} {
+				for _, f := range []float64{0, 0.02, 0.3, 1} {
+					patterns = append(patterns, Hotspot{Module: hot, Fraction: f})
+				}
+			}
+			for _, p := range patterns {
+				for d := range row {
+					row[d] = math.NaN() // Row must overwrite every entry
+				}
+				p.Row(src, row)
+				for d, got := range row {
+					if want := p.Share(src, d, n); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s n=%d: Row(%d)[%d] = %v, Share = %v", p, n, src, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A hotspot fraction outside [0, 1] makes Share panic for every pair of
+// distinct modules, so Row panics whenever the row has two modules, and
+// only then.
+func TestHotspotRowPanicsLikeShare(t *testing.T) {
+	for _, f := range []float64{-0.1, 1.5} {
+		h := Hotspot{Module: 0, Fraction: f}
+		for _, n := range []int{0, 1, 2, 5} {
+			for _, src := range []int{0, 1} {
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					h.Row(src, make([]float64, n))
+					return
+				}()
+				if want := n >= 2; panicked != want {
+					t.Errorf("fraction %g, n=%d, src %d: Row panicked %v, want %v", f, n, src, panicked, want)
+				}
+			}
+		}
+	}
+}
+
+// With an odd module count the middle module is its own complement:
+// its shares sum to 0, and it is silent rather than malformed.
 func TestBitComplementShares(t *testing.T) {
 	b := BitComplement{}
-	n := 8
-	for src := 0; src < n; src++ {
-		var sum float64
-		for d := 0; d < n; d++ {
-			sum += b.Share(src, d, n)
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("bit-complement shares from %d sum to %g", src, sum)
+	for _, n := range []int{7, 8} {
+		for src := 0; src < n; src++ {
+			var sum float64
+			for d := 0; d < n; d++ {
+				sum += b.Share(src, d, n)
+			}
+			want := 1.0
+			if 2*src == n-1 {
+				want = 0
+			}
+			if sum != want {
+				t.Errorf("n=%d: bit-complement shares from %d sum to %g, want %g", n, src, sum, want)
+			}
 		}
 	}
 }

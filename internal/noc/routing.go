@@ -20,16 +20,29 @@ func (p routePlan) hops() int {
 }
 
 func (m *Mesh) planRoute(src, dst int) routePlan {
-	if src < 0 || src >= m.NumRouters() || dst < 0 || dst >= m.NumRouters() {
-		panic(fmt.Sprintf("noc: route endpoints (%d, %d) out of range", src, dst))
+	if n := uint(len(m.coords)); uint(src) >= n || uint(dst) >= n {
+		panicEndpoints(src, dst)
 	}
 	x, y, z := m.Coords(src)
 	dx, dy, dz := m.Coords(dst)
-	px, py := x, y
-	if z != dz && !m.hasPillar(x, y) {
-		px, py = x-x%m.verticalEvery, y-y%m.verticalEvery
-	}
+	px, py := m.detour(x, y, z != dz)
 	return routePlan{detourX: px - x, detourY: py - y, z: dz - z, x: dx - px, y: dy - py}
+}
+
+func panicEndpoints(src, dst int) {
+	panic(fmt.Sprintf("noc: route endpoints (%d, %d) out of range", src, dst))
+}
+
+// detour returns the in-plane position (px, py) a route from (x, y)
+// crosses layers at: the TSV pillar of the source's block when the
+// route changes layer, else (x, y) itself. A router with a pillar is
+// its own block's pillar, so it needs no test of its own, and with a
+// pillar at every router the position cannot move.
+func (m *Mesh) detour(x, y int, layerChange bool) (px, py int) {
+	if layerChange && m.verticalEvery > 1 {
+		return x - x%m.verticalEvery, y - y%m.verticalEvery
+	}
+	return x, y
 }
 
 func absInt(v int) int {
@@ -47,51 +60,42 @@ func absInt(v int) int {
 func (m *Mesh) AppendRouteChannels(buf []int, src, dst int) []int {
 	p := m.planRoute(src, dst)
 	buf = slices.Grow(buf, p.hops())
-	strideY, strideZ := m.dims[0], m.dims[0]*m.dims[1]
 	r := src
-	buf, r = m.appendLeg(buf, r, p.detourX, 1)
-	buf, r = m.appendLeg(buf, r, p.detourY, strideY)
-	buf, r = m.appendLeg(buf, r, p.z, strideZ)
-	buf, r = m.appendLeg(buf, r, p.x, 1)
-	buf, _ = m.appendLeg(buf, r, p.y, strideY)
+	buf, r = m.appendLeg(buf, r, p.detourX, 0)
+	buf, r = m.appendLeg(buf, r, p.detourY, 1)
+	buf, r = m.appendLeg(buf, r, p.z, 2)
+	buf, r = m.appendLeg(buf, r, p.x, 0)
+	buf, _ = m.appendLeg(buf, r, p.y, 1)
 	return buf
 }
 
-// appendLeg appends the channels of |n| single-dimension steps from
-// router r, each moving the router id by sign(n)*stride, and returns the
-// router reached.
-func (m *Mesh) appendLeg(buf []int, r, n, stride int) ([]int, int) {
-	if n == 0 {
-		return buf, r
-	}
-	if n < 0 {
-		n, stride = -n, -stride
-	}
-	slot := m.slotOf(stride)
-	for ; n > 0; n-- {
-		buf = append(buf, m.stepChannel(r, slot, stride))
+// appendLeg appends the channels of |n| steps along dimension dim from
+// router r, up for n > 0 and down for n < 0, and returns the router
+// reached. A route step without a channel is a bug.
+func (m *Mesh) appendLeg(buf []int, r, n, dim int) ([]int, int) {
+	slot, stride := m.direction(dim, n > 0)
+	for range absInt(n) {
+		ch := m.chanDir[r*6+slot]
+		if ch < 0 {
+			panicNoChannel(r, r+stride)
+		}
+		buf = append(buf, int(ch))
 		r += stride
 	}
 	return buf, r
 }
 
-// slotOf returns the direction-table slot of a move delta, or numDeltas
-// if no channel in the mesh moves by it.
-func (m *Mesh) slotOf(stride int) int {
-	slot := 0
-	for slot < m.numDeltas && m.moveDeltas[slot] != stride {
-		slot++
+// direction returns the direction-table slot of a step up (or down)
+// along dimension dim and the router-id delta of that step.
+func (m *Mesh) direction(dim int, up bool) (slot, stride int) {
+	if up {
+		return 2*dim + 1, m.strides[dim]
 	}
-	return slot
+	return 2 * dim, -m.strides[dim]
 }
 
-// stepChannel returns the channel leaving router r in direction slot,
-// whose move delta is stride; a route step without one is a bug.
-func (m *Mesh) stepChannel(r, slot, stride int) int {
-	if slot == m.numDeltas || m.chanDir[r*6+slot] < 0 {
-		panic(fmt.Sprintf("noc: route step %d -> %d has no channel", r, r+stride))
-	}
-	return int(m.chanDir[r*6+slot])
+func panicNoChannel(from, to int) {
+	panic(fmt.Sprintf("noc: route step %d -> %d has no channel", from, to))
 }
 
 // LastHop returns the final channel of the dimension-order route from
@@ -101,26 +105,38 @@ func (m *Mesh) stepChannel(r, slot, stride int) int {
 // hop: following LastHop from dst back to src retraces
 // AppendRouteChannels in reverse, and the routes from one source form a
 // tree.
+//
+// The last hop is on the final nonempty leg, Y, then X, then Z. A
+// pillar detour is planned only for a layer change, so a nonempty Z leg
+// always follows it and the last hop is never a detour step; the
+// detour only shifts where the X and Y legs start. LastHop reads the
+// two coordinates and the direction table once instead of planning the
+// whole route: Compile calls it once per router on every source's
+// route tree.
 func (m *Mesh) LastHop(src, dst int) (ch, prev int) {
-	p := m.planRoute(src, dst)
-	// A pillar detour is planned only for a layer change, so a nonempty
-	// Z leg always follows it and the last hop is never a detour step.
-	var n, stride int
+	if n := uint(len(m.coords)); uint(src) >= n || uint(dst) >= n {
+		panicEndpoints(src, dst)
+	}
+	s, d := m.coords[src], m.coords[dst]
+	px, py := m.detour(int(s[0]), int(s[1]), s[2] != d[2])
+	var dim int
+	var up bool
 	switch {
-	case p.y != 0:
-		n, stride = p.y, m.dims[0]
-	case p.x != 0:
-		n, stride = p.x, 1
-	case p.z != 0:
-		n, stride = p.z, m.dims[0]*m.dims[1]
+	case int(d[1]) != py:
+		dim, up = 1, int(d[1]) > py
+	case int(d[0]) != px:
+		dim, up = 0, int(d[0]) > px
+	case s[2] != d[2]:
+		dim, up = 2, d[2] > s[2]
 	default:
 		return -1, src
 	}
-	if n < 0 {
-		stride = -stride
-	}
+	slot, stride := m.direction(dim, up)
 	prev = dst - stride
-	return m.stepChannel(prev, m.slotOf(stride), stride), prev
+	if ch = int(m.chanDir[prev*6+slot]); ch < 0 {
+		panicNoChannel(prev, dst)
+	}
+	return ch, prev
 }
 
 // Route returns the router sequence from src to dst under the
@@ -132,7 +148,7 @@ func (m *Mesh) Route(src, dst int) []int {
 	path[0] = src
 	path = m.AppendRouteChannels(path, src, dst)
 	for i := 1; i < len(path); i++ {
-		path[i] = m.channels[path[i]].To
+		path[i] = int(m.channels[path[i]].To)
 	}
 	return path
 }
@@ -204,8 +220,8 @@ func (m *Mesh) ComputeMetrics() Metrics {
 	cut := bestExt / 2
 	for _, c := range m.channels {
 		var a, b [3]int
-		a[0], a[1], a[2] = m.Coords(c.From)
-		b[0], b[1], b[2] = m.Coords(c.To)
+		a[0], a[1], a[2] = m.Coords(int(c.From))
+		b[0], b[1], b[2] = m.Coords(int(c.To))
 		if (a[bestDim] < cut) != (b[bestDim] < cut) {
 			mt.BisectionChannels++
 		}

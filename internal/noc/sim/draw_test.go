@@ -74,7 +74,12 @@ func TestPickDestinationMatchesLinearScan(t *testing.T) {
 type negativeShare struct{}
 
 func (negativeShare) Share(src, dst, n int) float64 { return -1 }
-func (negativeShare) String() string                { return "negative" }
+func (negativeShare) Row(src int, dst []float64) {
+	for d := range dst {
+		dst[d] = -1
+	}
+}
+func (negativeShare) String() string { return "negative" }
 
 func TestNegativeSharePanics(t *testing.T) {
 	defer func() {

@@ -313,11 +313,10 @@ func injection(packets []packet, i int32, rd float64) event {
 // emits no traffic). Shares must be non-negative, which keeps the sums
 // sorted for pickDestination's binary search.
 func runningShares(shares []float64, tp noc.TrafficPattern, src int) (last int) {
-	n := len(shares)
+	tp.Row(src, shares)
 	var acc float64
 	last = -1
-	for d := range shares {
-		s := tp.Share(src, d, n)
+	for d, s := range shares {
 		if !(s >= 0) {
 			panic(fmt.Sprintf("sim: %s share %g from module %d to %d is not a fraction", tp, s, src, d))
 		}

@@ -13,9 +13,11 @@ import (
 	"fmt"
 )
 
-// Channel is a directed router-to-router link.
+// Channel is a directed router-to-router link. Its router ids are
+// int32, like the rest of the mesh's tables: compiled topologies are
+// cached, and the channel table is their largest part.
 type Channel struct {
-	From, To int
+	From, To int32
 	// Vertical marks inter-layer (TSV / inductive / capacitive / wireless)
 	// links, which future work expects to offer higher bandwidth than
 	// in-plane wires.
@@ -38,16 +40,15 @@ type Mesh struct {
 
 	channels []Channel
 
-	// Channel lookup by (router, move direction). Route steps always
-	// move along exactly one dimension, so the id delta To-From of a
-	// channel identifies its direction; moveDeltas holds the distinct
-	// deltas that occur in this mesh (at most 6) and chanDir[r*6+slot]
-	// the channel id leaving router r with that delta, or -1. This
-	// replaces a map[[2]int]int whose hashing dominated route
-	// compilation profiles.
-	moveDeltas [6]int
-	numDeltas  int
-	chanDir    []int32
+	// Channel lookup by (router, signed direction). Route steps always
+	// move along exactly one dimension; direction slot 2*dim+1 moves up
+	// that dimension (adding strides[dim] to the router id) and 2*dim
+	// down, and chanDir[r*6+slot] is the channel leaving router r that
+	// way, or -1 at a mesh edge, off a TSV pillar or along a dimension
+	// of extent 1. This replaces a map[[2]int]int whose hashing
+	// dominated route compilation profiles.
+	strides [3]int
+	chanDir []int32
 
 	// coords[r] is router r's grid position, so Coords, which every
 	// route plan calls twice, does not divide.
@@ -105,9 +106,28 @@ func newMesh(name string, dims [3]int, conc, verticalEvery int) *Mesh {
 		concentration: conc,
 		verticalEvery: verticalEvery,
 	}
+	m.strides = [3]int{1, dims[0], dims[0] * dims[1]}
+	// Size the channel table exactly: compiled topologies are cached,
+	// and append's spare capacity would stay resident with them.
+	pillars := dims[0] * dims[1]
+	if verticalEvery > 1 {
+		pillars = ((dims[0] + verticalEvery - 1) / verticalEvery) * ((dims[1] + verticalEvery - 1) / verticalEvery)
+	}
+	links := (dims[0]-1)*dims[1]*dims[2] + dims[0]*(dims[1]-1)*dims[2] + pillars*(dims[2]-1)
+	m.channels = make([]Channel, 0, 2*links)
 	m.coords = make([][3]int32, m.NumRouters())
-	addChan := func(a, b int, vertical bool) {
-		m.channels = append(m.channels, Channel{From: a, To: b, Vertical: vertical})
+	m.chanDir = make([]int32, m.NumRouters()*6)
+	for i := range m.chanDir {
+		m.chanDir[i] = -1
+	}
+	// link adds the channel pair between router r and its upper
+	// neighbour along dim.
+	link := func(r, dim int, vertical bool) {
+		up := r + m.strides[dim]
+		m.chanDir[r*6+2*dim+1] = int32(len(m.channels))
+		m.channels = append(m.channels, Channel{From: int32(r), To: int32(up), Vertical: vertical})
+		m.chanDir[up*6+2*dim] = int32(len(m.channels))
+		m.channels = append(m.channels, Channel{From: int32(up), To: int32(r), Vertical: vertical})
 	}
 	for z := 0; z < dims[2]; z++ {
 		for y := 0; y < dims[1]; y++ {
@@ -115,43 +135,16 @@ func newMesh(name string, dims [3]int, conc, verticalEvery int) *Mesh {
 				r := m.RouterAt(x, y, z)
 				m.coords[r] = [3]int32{int32(x), int32(y), int32(z)}
 				if x+1 < dims[0] {
-					addChan(r, m.RouterAt(x+1, y, z), false)
-					addChan(m.RouterAt(x+1, y, z), r, false)
+					link(r, 0, false)
 				}
 				if y+1 < dims[1] {
-					addChan(r, m.RouterAt(x, y+1, z), false)
-					addChan(m.RouterAt(x, y+1, z), r, false)
+					link(r, 1, false)
 				}
 				if z+1 < dims[2] && m.hasPillar(x, y) {
-					addChan(r, m.RouterAt(x, y, z+1), true)
-					addChan(m.RouterAt(x, y, z+1), r, true)
+					link(r, 2, true)
 				}
 			}
 		}
-	}
-
-	// Distinct move deltas never collide: dimensions collapsed to
-	// extent 1 generate no channels, and the remaining deltas
-	// (±1, ±dimX, ±dimX*dimY) differ whenever their moves exist.
-	m.chanDir = make([]int32, m.NumRouters()*6)
-	for i := range m.chanDir {
-		m.chanDir[i] = -1
-	}
-	for id, c := range m.channels {
-		d := c.To - c.From
-		slot := -1
-		for s := 0; s < m.numDeltas; s++ {
-			if m.moveDeltas[s] == d {
-				slot = s
-				break
-			}
-		}
-		if slot < 0 {
-			slot = m.numDeltas
-			m.moveDeltas[slot] = d
-			m.numDeltas++
-		}
-		m.chanDir[c.From*6+slot] = int32(id)
 	}
 	return m
 }
@@ -198,15 +191,23 @@ func (m *Mesh) RouterOf(module int) int { return module / m.concentration }
 // ChannelID returns the index of the directed channel a -> b, or -1 if
 // the routers are not adjacent. A channel exists only for a
 // single-dimension move, so the id delta picks the direction slot and
-// the per-router table answers in a handful of integer compares.
+// the per-router table answers in a handful of integer compares. The
+// strides of the dimensions that have channels (extent > 1) are
+// distinct, so at most one slot matches.
 func (m *Mesh) ChannelID(a, b int) int {
 	if a < 0 || a >= m.NumRouters() || b < 0 || b >= m.NumRouters() {
 		return -1
 	}
 	d := b - a
-	for s := 0; s < m.numDeltas; s++ {
-		if m.moveDeltas[s] == d {
-			return int(m.chanDir[a*6+s])
+	for dim, stride := range m.strides {
+		if m.dims[dim] == 1 {
+			continue
+		}
+		switch d {
+		case stride:
+			return int(m.chanDir[a*6+2*dim+1])
+		case -stride:
+			return int(m.chanDir[a*6+2*dim])
 		}
 	}
 	return -1
