@@ -15,11 +15,11 @@
 // delays that chunk until its lease expires and another worker (or a
 // restarted one) picks it up.
 //
-// Workers serve both job kinds without configuration: grid-sweep
-// leases name a scenario whose points the worker regenerates from its
-// compiled-in registry, and optimizer leases carry the generation's
-// bred design points explicitly (each with the global index that keys
-// its sub-stream and cache address).
+// Workers serve every job kind without configuration: each lease
+// carries its design points — a slice of a registered or spec-defined
+// grid, or an optimizer generation's bred individuals — each with the
+// global index that keys its sub-stream and cache address. A worker
+// never resolves a scenario name or compiles a spec.
 //
 // Tracing rides along for free: a lease from a tracing daemon carries
 // the job's trace ID, the worker stamps it (as X-Request-ID,
@@ -28,10 +28,10 @@
 // identity in the daemon's access log — and ships spans covering its
 // lease-to-post and evaluation windows with the completion.
 //
-// The worker refuses to serve a daemon whose sweep.EngineVersion or
-// scenario registry differs from its own build (exit 1): a mismatched
-// worker could silently produce records the daemon's version would not
-// reproduce.
+// The worker refuses to serve a daemon whose sweep.EngineVersion
+// differs from its own build, or whose leases do not carry their points
+// (exit 1): a mismatched worker could silently produce records the
+// daemon's version would not reproduce.
 //
 // SIGINT or SIGTERM stops leasing and abandons the in-flight chunk; its
 // lease expires at the daemon and the chunk is re-queued.

@@ -23,34 +23,31 @@ var (
 	ErrBadRecords = errors.New("service: records do not match lease")
 )
 
-// Lease is one unit of distributed work: a contiguous chunk of a job's
-// scenario grid, plus everything a stateless worker needs to evaluate it
-// deterministically — the scenario and budget by name (both registries
-// are compiled into every binary), the sweep seed, and the engine
-// version so a mismatched worker can refuse instead of silently
-// producing different records.
+// Lease is one unit of distributed work: a contiguous run of a job's
+// design points plus everything a stateless worker needs to evaluate
+// them deterministically — the points themselves, the budget by name
+// (the budget registry is compiled into every binary), the sweep seed,
+// and the engine version so a mismatched worker can refuse instead of
+// silently producing different records. Workers never resolve a
+// scenario or compile a spec: the daemon does that once per job.
 type Lease struct {
-	ID       string `json:"id"`
-	JobID    string `json:"job_id"`
+	ID    string `json:"id"`
+	JobID string `json:"job_id"`
+	// Scenario names the point family in records and cache keys: a
+	// registered scenario, a spec's "spec/<hash16>" content address, or
+	// "optimize/<space>".
 	Scenario string `json:"scenario"`
 	Budget   string `json:"budget"`
 	Seed     uint64 `json:"seed"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	// Points carries the chunk's design points explicitly when they are
-	// not reconstructible from a scenario registry — optimizer
-	// generations, whose specs are bred at run time. Empty for grid
-	// sweeps: there Scenario + [Start, End) identify the points and the
-	// worker regenerates them locally. Each point's Index is the global
-	// evaluation index that keys its random sub-stream and cache
-	// address.
-	Points []sweep.Point `json:"points,omitempty"`
-	// Spec carries the canonical JSON of a spec-defined grid — a
-	// scenario no worker's registry knows — so the worker compiles the
-	// grid locally and regenerates its [Start, End) slice exactly like a
-	// registered scenario's. Empty for registry sweeps and for optimizer
-	// chunks (those ship explicit Points).
-	Spec string `json:"spec,omitempty"`
+	// Start and End are the chunk's slot range [Start, End) in the
+	// job's batch, for logs and spans; len(Points) == End-Start.
+	Start int `json:"start"`
+	End   int `json:"end"`
+	// Points are the chunk's design points: a grid slice for sweeps,
+	// bred individuals for optimizer generations. Each point's Index is
+	// the global evaluation index that keys its random sub-stream and
+	// cache address.
+	Points []sweep.Point `json:"points"`
 	// Engine is the daemon's sweep.EngineVersion; a worker built at a
 	// different version must not evaluate the chunk.
 	Engine int `json:"engine"`
@@ -431,7 +428,7 @@ func (d *dispatcher) take(worker string) (Lease, bool, <-chan struct{}, time.Dur
 		d.log.Debug("lease issued",
 			"lease_id", id, "job_id", j.id, "worker", worker,
 			"chunk_start", t.chunk.Start, "chunk_end", t.chunk.End)
-		l := Lease{
+		return Lease{
 			ID:         id,
 			JobID:      j.id,
 			Scenario:   j.scenarioName,
@@ -439,18 +436,12 @@ func (d *dispatcher) take(worker string) (Lease, bool, <-chan struct{}, time.Dur
 			Seed:       j.req.Seed,
 			Start:      t.chunk.Start,
 			End:        t.chunk.End,
-			Spec:       j.specJSON,
+			Points:     t.pts,
 			Engine:     sweep.EngineVersion,
 			TTLSeconds: d.ttl.Seconds(),
 			TraceID:    j.traceID,
 			SpanID:     ref.spanID,
-		}
-		if j.kind == KindOptimize {
-			// Optimizer individuals exist only in this run; ship them
-			// with the lease.
-			l.Points = t.pts
-		}
-		return l, true, nil, 0
+		}, true, nil, 0
 	}
 	var expiry time.Duration
 	if !next.IsZero() {

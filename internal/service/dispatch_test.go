@@ -7,12 +7,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/sweep/store"
 )
@@ -255,9 +257,8 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := leaseEventually(t, m, "hand")
-	sc, _ := sweep.Get(l.Scenario)
 	budget, _ := sweep.ParseBudget(l.Budget)
-	recs, err := sweep.EvaluateChunk(context.Background(), sc, sweep.Chunk{Start: l.Start, End: l.End},
+	recs, _, err := sweep.EvaluatePoints(context.Background(), l.Scenario, l.Points,
 		sweep.Config{Workers: 1, Seed: l.Seed, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +272,11 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	mangled[0].Index = 99
 	if err := m.Complete(l.ID, mangled); !errors.Is(err, ErrBadRecords) {
 		t.Fatalf("mangled-index completion error = %v, want ErrBadRecords", err)
+	}
+	mangled = append([]sweep.Record(nil), recs...)
+	mangled[0].Scenario = "embedded-box"
+	if err := m.Complete(l.ID, mangled); !errors.Is(err, ErrBadRecords) {
+		t.Fatalf("mangled-scenario completion error = %v, want ErrBadRecords", err)
 	}
 
 	// The rejected attempts must not have consumed the lease.
@@ -307,9 +313,8 @@ func TestLateCompletionCreditsOriginalWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := leaseEventually(t, m, "slow")
-	sc, _ := sweep.Get(slow.Scenario)
 	budget, _ := sweep.ParseBudget(slow.Budget)
-	recs, err := sweep.EvaluateChunk(context.Background(), sc, sweep.Chunk{Start: slow.Start, End: slow.End},
+	recs, _, err := sweep.EvaluatePoints(context.Background(), slow.Scenario, slow.Points,
 		sweep.Config{Workers: 1, Seed: slow.Seed, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +417,8 @@ func TestTerminalJobsReleaseGrid(t *testing.T) {
 // must reach FailLease (failing the job) rather than being mistaken for
 // a lost lease and silently retried forever.
 func TestWorkerReportsPanickingEvaluation(t *testing.T) {
-	orig := evalChunk
-	evalChunk = func(context.Context, sweep.Scenario, sweep.Chunk, sweep.Config) ([]sweep.Record, error) {
+	orig := evalPoints
+	evalPoints = func(context.Context, string, []sweep.Point, sweep.Config) ([]sweep.Record, int, error) {
 		panic("synthetic evaluation panic")
 	}
 
@@ -435,7 +440,7 @@ func TestWorkerReportsPanickingEvaluation(t *testing.T) {
 		// restored, or the restore races its reads.
 		stopWorker()
 		<-workerDone
-		evalChunk = orig
+		evalPoints = orig
 	}()
 
 	v, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 6})
@@ -453,13 +458,13 @@ func TestWorkerReportsPanickingEvaluation(t *testing.T) {
 // rejection is deterministic — the worker must fail the job rather than
 // let the chunk bounce between leases forever.
 func TestWorkerEscalatesRejectedRecords(t *testing.T) {
-	orig := evalChunk
-	evalChunk = func(ctx context.Context, sc sweep.Scenario, c sweep.Chunk, cfg sweep.Config) ([]sweep.Record, error) {
-		recs, err := orig(ctx, sc, c, cfg)
+	orig := evalPoints
+	evalPoints = func(ctx context.Context, scenario string, pts []sweep.Point, cfg sweep.Config) ([]sweep.Record, int, error) {
+		recs, cached, err := orig(ctx, scenario, pts, cfg)
 		for i := range recs {
 			recs[i].Index += 1000 // a grid the daemon does not recognise
 		}
-		return recs, err
+		return recs, cached, err
 	}
 
 	m := New(Options{
@@ -478,7 +483,7 @@ func TestWorkerEscalatesRejectedRecords(t *testing.T) {
 	defer func() {
 		stopWorker()
 		<-workerDone
-		evalChunk = orig
+		evalPoints = orig
 	}()
 
 	v, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 8})
@@ -807,6 +812,137 @@ func TestRunWorkerPacesEmptyLeases(t *testing.T) {
 	// Poll would allow at most window/(2*poll)+1 calls.
 	if n, slept := holding.calls.Load(), int64(window/(2*poll))+1; n <= slept {
 		t.Fatalf("holding daemon got %d lease calls in %v, want about %d (no sleep after a held request)", n, window, limit-1)
+	}
+}
+
+// pointlessAPI is a WorkerAPI standing in for a daemon built before
+// leases carried their points: it hands out one grid lease with a slot
+// range but no points, and counts every call the worker makes about it.
+type pointlessAPI struct {
+	leases, completes, fails atomic.Int64
+}
+
+func (a *pointlessAPI) Lease(string) (Lease, bool, error) {
+	a.leases.Add(1)
+	return Lease{
+		ID: "L1", JobID: "job-1", Scenario: "paper-baseline", Budget: "analytic",
+		Start: 4, End: 8, Engine: sweep.EngineVersion, TTLSeconds: 30,
+	}, true, nil
+}
+func (a *pointlessAPI) Heartbeat(string) (time.Duration, error) { return time.Minute, nil }
+func (a *pointlessAPI) Complete(string, []sweep.Record) error {
+	a.completes.Add(1)
+	return nil
+}
+func (a *pointlessAPI) FailLease(string, string) error {
+	a.fails.Add(1)
+	return nil
+}
+
+// TestWorkerRefusesLeaseWithoutPoints: a lease whose points do not
+// cover its slot range is a daemon/worker build mismatch. The worker
+// must exit with a "rebuild the worker" error, like an engine mismatch,
+// without posting records or failing the job, so the lease expires to a
+// worker that matches the daemon.
+func TestWorkerRefusesLeaseWithoutPoints(t *testing.T) {
+	api := &pointlessAPI{}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := RunWorker(ctx, api, WorkerOptions{Name: "new", Poll: 5 * time.Millisecond, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "rebuild the worker") {
+		t.Fatalf("RunWorker = %v, want a terminal rebuild-the-worker error", err)
+	}
+	if n := api.leases.Load(); n != 1 {
+		t.Fatalf("worker took %d leases, want to stop after the first", n)
+	}
+	if c, f := api.completes.Load(), api.fails.Load(); c != 0 || f != 0 {
+		t.Fatalf("worker posted %d completions and %d failures, want none", c, f)
+	}
+}
+
+// specAllSections sets the traffic, interference and power sections in
+// one grid, with fractional knob values, so every optional SystemSpec
+// section rides a lease.
+const specAllSections = `{
+	"name": "all-sections",
+	"base": {"traffic-pattern": "hotspot", "traffic-hotspot-module": 1, "stack-modules": 16,
+		"interference-neighbors": 1, "interference-rejection-db": 12.5},
+	"axes": [
+		{"name": "traffic-hotspot-fraction", "kind": "continuous", "min": 0.1, "max": 0.3, "step": 0.1},
+		{"name": "max-tx-power-dbm", "kind": "continuous", "min": -3.3, "max": 0.7, "step": 2},
+		{"name": "interference-copper-boards", "kind": "bool"}
+	],
+	"budget": "analytic"
+}`
+
+// TestLeasePointsSurviveTheWire: every lease now carries its points, so
+// registry grids and spec grids travel as JSON. Through the daemon's HTTP
+// encoder and the Client's decoder, every point of every registered
+// scenario and of spec grids setting each optional section must arrive
+// deep-equal, with the same cache key, as the grid the daemon compiled.
+func TestLeasePointsSurviveTheWire(t *testing.T) {
+	m := New(Options{
+		JobWorkers:  1,
+		Distributed: true,
+		ChunkPoints: 1 << 20, // one lease per job
+		LeaseTTL:    time.Minute,
+	})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+
+	check := func(what string, req Request, want []sweep.Point) {
+		t.Helper()
+		v, err := m.Submit(req)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var l Lease
+		for ok := false; !ok; {
+			if l, ok, err = cl.lease(context.Background(), "wire"); err != nil {
+				t.Fatalf("%s: lease: %v", what, err)
+			}
+		}
+		if l.JobID != v.ID || l.Start != 0 || l.End != len(want) {
+			t.Fatalf("%s: lease %s [%d,%d), want job %s [0,%d)", what, l.JobID, l.Start, l.End, v.ID, len(want))
+		}
+		if !reflect.DeepEqual(l.Points, want) {
+			t.Fatalf("%s: leased points differ from the compiled grid", what)
+		}
+		budget, err := sweep.ParseBudget(l.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyer := sweep.NewKeyer(l.Scenario, budget, l.Seed)
+		for k := range want {
+			if got, exp := keyer.Key(l.Points[k]), keyer.Key(want[k]); got != exp {
+				t.Fatalf("%s: point %d keys %s over the wire, %s at the daemon", what, k, got, exp)
+			}
+		}
+		if err := m.Cancel(v.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, v.ID, StateCancelled)
+	}
+
+	for _, name := range sweep.Names() {
+		sc, err := sweep.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, Request{Scenario: name, Budget: "analytic", Seed: 5}, sc.Points())
+	}
+	for _, doc := range []string{specNoC, specInterference, specAllSections} {
+		sp, err := spec.Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := sp.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(sp.Name, Request{Spec: json.RawMessage(doc), Seed: 5}, compiled.Scenario.Points())
 	}
 }
 

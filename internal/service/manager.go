@@ -159,11 +159,6 @@ type job struct {
 	// (kind "optimize"); Evaluate and OnGeneration are filled in at run
 	// time.
 	searchOpts search.Options
-	// specJSON is the canonical rendering of a spec-defined sweep's
-	// specification ("" otherwise): it rides grid leases so stateless
-	// workers can rebuild a grid no registry knows. Optimizer leases ship
-	// explicit points instead and never need it.
-	specJSON string
 	// specName is the user-chosen name of the submitted spec document,
 	// "" for registry jobs. Display only — the grid identity is
 	// scenarioName's content hash.
@@ -477,7 +472,6 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 				return JobView{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 			}
 			sc = compiled.Scenario
-			j.specJSON = string(userSpec.Canonical())
 			j.feasible = compiled.Feasible
 		} else {
 			sc, err = sweep.Get(req.Scenario)

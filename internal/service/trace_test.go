@@ -340,10 +340,6 @@ func TestStragglerDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sweep.Get("manycore")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const chunks = 12
 	for i := 0; i < chunks; i++ {
 		l := leaseEventually(t, m, "w")
@@ -351,8 +347,7 @@ func TestStragglerDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := sweep.EvaluateChunk(context.Background(), sc,
-			sweep.Chunk{Start: l.Start, End: l.End},
+		recs, _, err := sweep.EvaluatePoints(context.Background(), l.Scenario, l.Points,
 			sweep.Config{Workers: 1, Seed: l.Seed, Budget: budget})
 		if err != nil {
 			t.Fatal(err)

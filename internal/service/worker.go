@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 )
 
@@ -70,12 +69,13 @@ type WorkerOptions struct {
 }
 
 // RunWorker drains chunks from api until ctx is cancelled: lease,
-// evaluate with the sweep engine, heartbeat at a third of the TTL while
-// evaluating, complete. It returns ctx.Err() on cancellation, or a
-// non-context error only when the worker must not keep serving (an
-// engine-version or scenario-registry mismatch with the daemon — the
-// records such a worker would produce could differ, which the
-// determinism contract forbids).
+// evaluate the leased points with the sweep engine, heartbeat at a
+// third of the TTL while evaluating, complete. It returns ctx.Err() on
+// cancellation, or a non-context error only when the worker must not
+// keep serving: a lease from a daemon built from different code (another
+// engine version, or a lease that does not carry its points) could make
+// this worker produce records that differ, which the determinism
+// contract forbids.
 //
 // Transient API errors (daemon restarting, network) are retried after
 // the poll interval. A lost lease — heartbeat or completion returning
@@ -122,10 +122,9 @@ func RunWorker(ctx context.Context, api WorkerAPI, opts WorkerOptions) error {
 	}
 }
 
-// serveLease evaluates one leased chunk and posts the result. A lease
-// that carries explicit Points (an optimizer generation) is evaluated
-// directly through sweep.EvaluatePoints; otherwise the chunk names a
-// registered scenario whose grid the worker regenerates locally.
+// serveLease evaluates one leased chunk's points through
+// sweep.EvaluatePoints and posts the result. The lease carries the
+// points, so the worker never resolves a scenario or compiles a spec.
 func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions, logger *slog.Logger) error {
 	// Every line about this lease carries the ids an operator needs to
 	// join worker logs against the daemon's dispatcher logs.
@@ -135,13 +134,13 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 		return fmt.Errorf("service: worker runs engine v%d but daemon leased engine v%d work — rebuild the worker",
 			sweep.EngineVersion, l.Engine)
 	}
-	var sc sweep.Scenario
-	if len(l.Points) == 0 {
-		var err error
-		sc, err = leaseScenario(l)
-		if err != nil {
-			return err
-		}
+	// A daemon that predates point-carrying leases sends grid leases
+	// without points; evaluating them would post zero records and fail
+	// the user's job. Exiting instead lets the lease expire to a worker
+	// that matches the daemon.
+	if len(l.Points) != l.End-l.Start {
+		return fmt.Errorf("service: daemon leased %d points for chunk [%d,%d) — rebuild the worker to match the daemon",
+			len(l.Points), l.Start, l.End)
 	}
 	budget, err := sweep.ParseBudget(l.Budget)
 	if err != nil {
@@ -195,11 +194,8 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 			Seed:    l.Seed,
 			Budget:  budget,
 		}
-		if len(l.Points) > 0 {
-			recs, _, err := evalPoints(evalCtx, l.Scenario, l.Points, cfg)
-			return recs, err
-		}
-		return evalChunk(evalCtx, sc, sweep.Chunk{Start: l.Start, End: l.End}, cfg)
+		recs, _, err = evalPoints(evalCtx, l.Scenario, l.Points, cfg)
+		return recs, err
 	}()
 	evalEnd := time.Now()
 	cancelEval()
@@ -220,7 +216,7 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 			logger.Warn("lease gone at completion, records discarded")
 		case errors.Is(err, ErrBadRecords):
 			// The daemon rejected records this worker considers correct:
-			// the two binaries disagree on the grid. Deterministic, so
+			// the two binaries disagree on the records. Deterministic, so
 			// every retry and every re-lease would be rejected the same
 			// way — fail the job instead of bouncing the chunk forever.
 			logger.Error("records rejected, failing job", "error", err)
@@ -245,45 +241,9 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 	return nil
 }
 
-// leaseScenario resolves the scenario a grid lease names. A lease
-// carrying a canonical spec document is compiled locally — the same
-// strict parse and validation the daemon ran at submission, so daemon
-// and worker agree on the grid bit for bit or refuse loudly — and the
-// compiled content-addressed name must match the lease's scenario
-// string. Without a spec the scenario comes from the worker's
-// compiled-in registry. Errors are terminal for the worker loop: every
-// one of them means this binary disagrees with the daemon about what
-// the grid is, which the determinism contract forbids papering over.
-func leaseScenario(l Lease) (sweep.Scenario, error) {
-	if l.Spec == "" {
-		sc, err := sweep.Get(l.Scenario)
-		if err != nil {
-			return sweep.Scenario{}, fmt.Errorf("service: daemon leased a scenario this worker does not know: %w", err)
-		}
-		return sc, nil
-	}
-	sp, err := spec.Parse([]byte(l.Spec))
-	if err != nil {
-		return sweep.Scenario{}, fmt.Errorf("service: daemon leased a spec this worker cannot parse — rebuild the worker: %w", err)
-	}
-	compiled, err := sp.Compile()
-	if err != nil {
-		return sweep.Scenario{}, fmt.Errorf("service: daemon leased a spec this worker cannot compile — rebuild the worker: %w", err)
-	}
-	if compiled.Scenario.Name != l.Scenario {
-		return sweep.Scenario{}, fmt.Errorf("service: leased spec compiles to scenario %q but the lease names %q — rebuild the worker",
-			compiled.Scenario.Name, l.Scenario)
-	}
-	return compiled.Scenario, nil
-}
-
-// evalChunk and evalPoints are sweep.EvaluateChunk and
-// sweep.EvaluatePoints, replaceable by tests that need a panicking
-// evaluation.
-var (
-	evalChunk  = sweep.EvaluateChunk
-	evalPoints = sweep.EvaluatePoints
-)
+// evalPoints is sweep.EvaluatePoints, replaceable by tests that need a
+// panicking or skewed evaluation.
+var evalPoints = sweep.EvaluatePoints
 
 // workerSpans builds this chunk's worker-side spans; for an untraced
 // lease it returns nil and the completion degrades to plain Complete.

@@ -1,18 +1,14 @@
 package sweep
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/rng"
-)
+import "fmt"
 
 // Chunk is a half-open range [Start, End) of grid indices — the unit of
 // work a distributed sweep hands to one worker. Because every point's
 // random sub-stream is a pure function of (sweep seed, point index), a
-// chunk is independently evaluable: any process holding the scenario
-// name, the seed and the budget reproduces exactly the records a
-// single-node Run would have produced for those indices.
+// chunk is independently evaluable: EvaluatePoints over
+// sc.Points()[c.Start:c.End] with the sweep's seed and budget, in any
+// process, reproduces exactly the records a single-node Run would have
+// produced for those indices.
 type Chunk struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -44,30 +40,4 @@ func Chunks(n, size int) []Chunk {
 		out = append(out, Chunk{Start: lo, End: hi})
 	}
 	return out
-}
-
-// EvaluateChunk evaluates the scenario's points in [c.Start, c.End) and
-// returns their records in index order (slot k holds point c.Start+k).
-// Each point gets the same rng sub-stream — root.Split(index+1) off
-// rng.New(cfg.Seed) — that a full Run of the scenario would give it, so
-// concatenating the chunks of any partition reproduces Run's records
-// byte for byte. This is the determinism contract the distributed
-// worker tier is built on.
-//
-// cfg.Workers bounds the local pool, cfg.Cache and cfg.OnPoint are
-// honoured per point exactly as in Run. Records are returned with
-// Pareto unset: the front is a property of the whole sweep and is
-// marked by whoever merges the chunks.
-func EvaluateChunk(ctx context.Context, sc Scenario, c Chunk, cfg Config) ([]Record, error) {
-	pts := sc.Points()
-	if c.Start < 0 || c.End > len(pts) || c.Start > c.End {
-		return nil, fmt.Errorf("sweep: chunk %v out of range for scenario %q (%d points)", c, sc.Name, len(pts))
-	}
-	if c.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	eval := pointEvaluator(sc.Name, pts, cfg, rng.New(cfg.Seed), nil)
-	return Map(ctx, c.Len(), cfg.Workers, func(k int) Record {
-		return eval(c.Start + k)
-	})
 }

@@ -38,10 +38,11 @@ func TestChunksPartition(t *testing.T) {
 	}
 }
 
-// TestEvaluateChunkMatchesRun is the determinism contract of the
-// distributed tier: concatenating the chunk records of any partition
-// must reproduce a single-node Run byte for byte.
-func TestEvaluateChunkMatchesRun(t *testing.T) {
+// TestEvaluatePointsChunksMatchRun is the determinism contract of the
+// distributed tier: evaluating the grid's points chunk by chunk, for any
+// partition, and concatenating the records must reproduce a single-node
+// Run byte for byte.
+func TestEvaluatePointsChunksMatchRun(t *testing.T) {
 	sc, err := Get("paper-baseline")
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +53,11 @@ func TestEvaluateChunkMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	pts := sc.Points()
 	for _, size := range []int{1, 3, len(full.Records)} {
 		var merged []Record
 		for _, c := range Chunks(len(full.Records), size) {
-			recs, err := EvaluateChunk(context.Background(), sc, c, cfg)
+			recs, _, err := EvaluatePoints(context.Background(), sc.Name, pts[c.Start:c.End], cfg)
 			if err != nil {
 				t.Fatalf("chunk %v: %v", c, err)
 			}
@@ -71,20 +73,5 @@ func TestEvaluateChunkMatchesRun(t *testing.T) {
 		if string(a) != string(b) {
 			t.Fatalf("chunk size %d: merged records differ from single-node run", size)
 		}
-	}
-}
-
-func TestEvaluateChunkOutOfRange(t *testing.T) {
-	sc, err := Get("paper-baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []Chunk{{-1, 2}, {0, 1000}, {5, 3}} {
-		if _, err := EvaluateChunk(context.Background(), sc, c, Config{Budget: AnalyticBudget()}); err == nil {
-			t.Errorf("chunk %v: want range error", c)
-		}
-	}
-	if recs, err := EvaluateChunk(context.Background(), sc, Chunk{2, 2}, Config{Budget: AnalyticBudget()}); err != nil || len(recs) != 0 {
-		t.Errorf("empty chunk = (%v, %v), want no records, no error", recs, err)
 	}
 }

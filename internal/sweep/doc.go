@@ -43,12 +43,15 @@
 // cmd/sweepd (HTTP daemon) share one cache via Config.Cache.
 //
 // The same purity that makes Map worker-count-independent makes sweeps
-// machine-count-independent: a Chunk ([Start, End) of a scenario grid)
-// plus (scenario name, budget name, seed) is everything a stateless
-// process needs to reproduce those records exactly, because point i's
-// sub-stream is rng.New(seed).Split(i+1) regardless of who evaluates
-// it. EvaluateChunk is that contract as an API; the service layer's
-// dispatcher and cmd/sweepworker build the distributed fleet on top,
-// and an N-worker fleet's merged records are byte-identical to a
-// single-node Run. See ARCHITECTURE.md for the full layer map.
+// machine-count-independent: a slice of design points plus (scenario
+// name, budget name, seed) is everything a stateless process needs to
+// reproduce those records exactly, because point i's sub-stream is
+// rng.New(seed).Split(i+1) regardless of who evaluates it.
+// EvaluatePoints is that contract as an API: over the points of a Chunk
+// ([Start, End) of a scenario grid) it yields exactly the records Run
+// gives those indices. The service layer's dispatcher and
+// cmd/sweepworker build the distributed fleet on top — every lease
+// carries its points, so workers never rebuild a grid — and an N-worker
+// fleet's merged records are byte-identical to a single-node Run. See
+// ARCHITECTURE.md for the full layer map.
 package sweep

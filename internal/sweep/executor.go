@@ -144,8 +144,7 @@ type Result struct {
 	ComputedPoints int `json:"computed_points"`
 }
 
-// pointEvaluator returns the closure Run, EvaluateChunk and
-// EvaluatePoints share: it evaluates one point by slice position,
+// pointEvaluator returns the closure Run and EvaluatePoints share: it evaluates one point by slice position,
 // reading through cfg.Cache and reporting to cfg.OnPoint. cached, when
 // non-nil, counts cache hits. The random sub-stream is derived from the
 // point's own Index (identical to the slice position for scenario grids,
