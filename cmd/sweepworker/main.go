@@ -22,11 +22,9 @@
 // never resolves a scenario name or compiles a spec.
 //
 // Tracing rides along for free: a lease from a tracing daemon carries
-// the job's trace ID, the worker stamps it (as X-Request-ID,
-// X-Trace-ID and X-Parent-Span) on every heartbeat/complete/fail RPC
-// for that lease — retries included, so one chunk is one request
-// identity in the daemon's access log — and ships spans covering its
-// lease-to-post and evaluation windows with the completion.
+// the job's trace ID and a chunk span ID, and the worker ships spans
+// covering its lease-to-post and evaluation windows, parented under
+// that chunk span, with the completion.
 //
 // The worker refuses to serve a daemon whose sweep.EngineVersion
 // differs from its own build, or whose leases do not carry their points

@@ -80,14 +80,6 @@ func (c *Collector) Add(rec SpanRecord) {
 	c.mu.Unlock()
 }
 
-// Cap is the ring capacity (0 for a nil collector).
-func (c *Collector) Cap() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.ring)
-}
-
 // Len is the number of spans currently retained.
 func (c *Collector) Len() int {
 	if c == nil {
@@ -108,38 +100,17 @@ func (c *Collector) Total() uint64 {
 	return c.total
 }
 
-// Evicted counts the spans the ring has overwritten.
-func (c *Collector) Evicted() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total - uint64(c.count)
-}
-
 // JobSpans returns the retained spans of one job, ordered by start
 // time (ties by span ID, so the order is deterministic).
 func (c *Collector) JobSpans(jobID string) []SpanRecord {
-	return c.filter(func(r *SpanRecord) bool { return r.JobID == jobID })
-}
-
-// TraceSpans returns the retained spans of one trace, ordered like
-// JobSpans.
-func (c *Collector) TraceSpans(traceID string) []SpanRecord {
-	return c.filter(func(r *SpanRecord) bool { return r.TraceID == traceID })
-}
-
-func (c *Collector) filter(keep func(*SpanRecord) bool) []SpanRecord {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	var out []SpanRecord
 	for i := 0; i < c.count; i++ {
-		r := &c.ring[i]
-		if keep(r) {
-			out = append(out, *r)
+		if c.ring[i].JobID == jobID {
+			out = append(out, c.ring[i])
 		}
 	}
 	c.mu.Unlock()

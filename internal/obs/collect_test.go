@@ -20,14 +20,11 @@ func span(job string, i int) SpanRecord {
 
 func TestCollectorRingEviction(t *testing.T) {
 	c := NewCollector(4)
-	if c.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", c.Cap())
-	}
 	for i := 0; i < 6; i++ {
 		c.Add(span("job-a", i))
 	}
-	if c.Len() != 4 || c.Total() != 6 || c.Evicted() != 2 {
-		t.Fatalf("Len/Total/Evicted = %d/%d/%d, want 4/6/2", c.Len(), c.Total(), c.Evicted())
+	if c.Len() != 4 || c.Total() != 6 {
+		t.Fatalf("Len/Total = %d/%d, want 4/6", c.Len(), c.Total())
 	}
 	got := c.JobSpans("job-a")
 	if len(got) != 4 {
@@ -41,17 +38,40 @@ func TestCollectorRingEviction(t *testing.T) {
 			t.Fatalf("JobSpans[%d] = %s, want %s", k, rec.SpanID, want)
 		}
 	}
-	if trace := c.TraceSpans("trace-job-a"); len(trace) != 4 {
-		t.Fatalf("TraceSpans returned %d spans, want 4", len(trace))
-	}
 	if stray := c.JobSpans("job-b"); stray != nil {
 		t.Fatalf("JobSpans for an unknown job = %v, want nil", stray)
 	}
+
+	// Another job's span evicts job-a's oldest and is filtered apart
+	// from it.
+	c.Add(span("job-b", 6))
+	if b := c.JobSpans("job-b"); len(b) != 1 || b[0].JobID != "job-b" || b[0].SpanID != "span-0006" {
+		t.Fatalf("JobSpans(job-b) = %+v, want only span-0006", b)
+	}
+	a := c.JobSpans("job-a")
+	if len(a) != 3 || a[0].SpanID != "span-0003" {
+		t.Fatalf("JobSpans(job-a) after eviction = %+v, want span-0003..0005", a)
+	}
+	for _, rec := range a {
+		if rec.JobID != "job-a" {
+			t.Fatalf("JobSpans(job-a) returned %s's span %s", rec.JobID, rec.SpanID)
+		}
+	}
 }
 
+// TestCollectorDefaultCap fills a default collector past its capacity:
+// it retains exactly DefaultCollectorCap spans, the newest ones.
 func TestCollectorDefaultCap(t *testing.T) {
-	if got := NewCollector(0).Cap(); got != DefaultCollectorCap {
-		t.Fatalf("NewCollector(0).Cap() = %d, want %d", got, DefaultCollectorCap)
+	c := NewCollector(0)
+	const extra = 3
+	for i := 0; i < DefaultCollectorCap+extra; i++ {
+		c.Add(span("job-a", i))
+	}
+	if c.Len() != DefaultCollectorCap || c.Total() != DefaultCollectorCap+extra {
+		t.Fatalf("Len/Total = %d/%d, want %d/%d", c.Len(), c.Total(), DefaultCollectorCap, DefaultCollectorCap+extra)
+	}
+	if got := c.JobSpans("job-a"); got[0].SpanID != fmt.Sprintf("span-%04d", extra) {
+		t.Fatalf("oldest retained span %s, want span-%04d", got[0].SpanID, extra)
 	}
 }
 
@@ -103,10 +123,10 @@ func TestNilCollectorZeroAlloc(t *testing.T) {
 			t.Error("nil collector claims to be enabled")
 		}
 		c.Add(rec)
-		if c.JobSpans("job-a") != nil || c.TraceSpans("t") != nil {
+		if c.JobSpans("job-a") != nil {
 			t.Error("nil collector returned spans")
 		}
-		if c.Len() != 0 || c.Cap() != 0 || c.Total() != 0 || c.Evicted() != 0 {
+		if c.Len() != 0 || c.Total() != 0 {
 			t.Error("nil collector reports retained spans")
 		}
 	})

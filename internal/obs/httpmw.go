@@ -52,18 +52,7 @@ func (hm *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 			id = NewRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		ctx := WithRequestID(r.Context(), id)
-		// A request arriving with a trace context (a worker RPC about a
-		// leased chunk) keeps it: handlers and their log lines join the
-		// originating job's trace instead of starting fresh.
-		traceID := r.Header.Get(TraceIDHeader)
-		if traceID != "" {
-			ctx = WithSpanContext(ctx, SpanContext{
-				TraceID: traceID,
-				SpanID:  r.Header.Get(ParentSpanHeader),
-			})
-		}
-		r = r.WithContext(ctx)
+		r = r.WithContext(WithRequestID(r.Context(), id))
 
 		hm.inFlight.Inc()
 		sw := &statusWriter{ResponseWriter: w}
@@ -77,18 +66,13 @@ func (hm *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 		// Guarded so a discarding or info-level logger costs nothing:
 		// the attribute boxing below is pure waste when debug is off.
 		if hm.logger.Enabled(r.Context(), slog.LevelDebug) {
-			attrs := []any{
+			hm.logger.Debug("http request",
 				"route", route,
 				"method", r.Method,
 				"path", r.URL.Path,
 				"status", sw.status(),
 				"duration", elapsed,
-				"request_id", id,
-			}
-			if traceID != "" {
-				attrs = append(attrs, "trace_id", traceID)
-			}
-			hm.logger.Debug("http request", attrs...)
+				"request_id", id)
 		}
 	})
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,6 +89,43 @@ func TestMiddlewareRequestID(t *testing.T) {
 	resp.Body.Close()
 	if minted := resp.Header.Get(RequestIDHeader); len(minted) != 16 || seen != minted {
 		t.Fatalf("minted ID %q (handler saw %q)", minted, seen)
+	}
+}
+
+// TestMiddlewareIgnoresTraceHeaders: trace identity travels in the
+// lease body, not on headers. A request from an older worker that still
+// sends X-Trace-ID/X-Parent-Span is served like any other: its request
+// ID is minted, and the access line carries no trace_id.
+func TestMiddlewareIgnoresTraceHeaders(t *testing.T) {
+	var logs bytes.Buffer
+	hm := NewHTTPMetrics(NewRegistry(), NewLogger(&logs, slog.LevelDebug))
+	srv := httptest.NewServer(hm.Wrap("POST /lease", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	})))
+	defer srv.Close()
+
+	req, _ := http.NewRequest("POST", srv.URL+"/lease", nil)
+	req.Header.Set("X-Trace-ID", "trace-77")
+	req.Header.Set("X-Parent-Span", "span-88")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	id := resp.Header.Get(RequestIDHeader)
+	if len(id) != 16 || id == "trace-77" {
+		t.Fatalf("request ID %q, want a minted one", id)
+	}
+	line := logs.String()
+	if !strings.Contains(line, "request_id="+id) || !strings.Contains(line, "path=/lease") {
+		t.Fatalf("access line lacks the request ID or path:\n%s", line)
+	}
+	if strings.Contains(line, "trace") || strings.Contains(line, "span-88") {
+		t.Fatalf("access line carries trace identity from headers:\n%s", line)
 	}
 }
 

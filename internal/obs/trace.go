@@ -12,48 +12,14 @@ import (
 
 // Tracing here is deliberately small: a request ID that rides the
 // context (minted by the HTTP middleware from X-Request-ID, or fresh),
-// and a SpanContext carrying trace and parent-span IDs across process
-// boundaries (X-Trace-ID / X-Parent-Span). The span records themselves
-// are retained by the in-daemon Collector (collect.go).
+// and trace and span IDs minted below. Trace identity crosses process
+// boundaries only inside the lease body (Lease.TraceID/SpanID); the
+// span records themselves are retained by the in-daemon Collector
+// (collect.go).
 
 // RequestIDHeader is the HTTP header request IDs arrive on and are
 // echoed back through.
 const RequestIDHeader = "X-Request-ID"
-
-// TraceIDHeader and ParentSpanHeader carry a span context across
-// process boundaries: the daemon stamps each lease with its job's
-// trace ID and a chunk span ID, workers echo both on every RPC about
-// that lease, and the middleware lifts them onto the request context —
-// so one job yields one coherent trace across N HTTP workers.
-const (
-	TraceIDHeader    = "X-Trace-ID"
-	ParentSpanHeader = "X-Parent-Span"
-)
-
-// SpanContext identifies a position in a distributed trace: the trace
-// every related span shares, and the span a child should name as its
-// parent. The zero value means "not part of any trace".
-type SpanContext struct {
-	TraceID string
-	SpanID  string
-}
-
-// Valid reports whether the context belongs to a trace.
-func (sc SpanContext) Valid() bool { return sc.TraceID != "" }
-
-type spanContextKey struct{}
-
-// WithSpanContext returns ctx carrying the span context.
-func WithSpanContext(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanContextKey{}, sc)
-}
-
-// SpanContextFrom returns the context's span context, zero when none
-// was set.
-func SpanContextFrom(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(spanContextKey{}).(SpanContext)
-	return sc
-}
 
 type requestIDKey struct{}
 

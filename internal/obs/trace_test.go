@@ -34,18 +34,6 @@ func TestNewRequestIDShapeAndUniqueness(t *testing.T) {
 		}
 		seen[id] = true
 	}
-}
-
-func TestSpanContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if sc := SpanContextFrom(ctx); sc.Valid() {
-		t.Fatalf("empty context has a span context: %+v", sc)
-	}
-	ctx = WithSpanContext(ctx, SpanContext{TraceID: "t1", SpanID: "s1"})
-	sc := SpanContextFrom(ctx)
-	if !sc.Valid() || sc.TraceID != "t1" || sc.SpanID != "s1" {
-		t.Fatalf("span context = %+v", sc)
-	}
 	if id := NewTraceID(); len(id) != 16 {
 		t.Fatalf("trace ID %q has length %d, want 16", id, len(id))
 	}

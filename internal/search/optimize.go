@@ -16,6 +16,12 @@ import (
 // reaches.
 const gaSplitTag = 0x6f7074_5f67_6100
 
+// MaxEvaluations caps Generations*Population: the most design points
+// one optimization may ask of the fleet, the same ceiling a spec grid
+// has (spec.MaxGridPoints). It also bounds the genome and record
+// buffers a run allocates before evaluating anything.
+const MaxEvaluations = 65536
+
 // Evaluator evaluates one generation's design points and returns their
 // records in slice order plus how many came from a cache. gen is the
 // generation number; every point arrives with a globally unique Index
@@ -87,6 +93,9 @@ func (o *Options) Normalize() error {
 		return fmt.Errorf("search: need a population of at least 4, got %d", o.Population)
 	case o.Population%2 != 0:
 		return fmt.Errorf("search: population must be even for pairwise crossover, got %d", o.Population)
+	case o.Population > MaxEvaluations/o.Generations:
+		return fmt.Errorf("search: %d generations of %d exceed the %d-evaluation cap",
+			o.Generations, o.Population, MaxEvaluations)
 	}
 	if o.Budget.Name == "" {
 		o.Budget = sweep.AnalyticBudget()
@@ -167,7 +176,7 @@ func Optimize(ctx context.Context, opts Options) (*Result, error) {
 	}
 	evaluate := opts.Evaluate
 	if evaluate == nil {
-		evaluate = InProcessEvaluator(opts.Space, opts.Seed, opts.Budget, opts.Workers, opts.Cache, nil)
+		evaluate = inProcessEvaluator(opts)
 	}
 
 	res := &Result{
@@ -309,20 +318,14 @@ func summarize(gen, evaluated, cached int, pop []*indiv, objs []Objective) Gener
 	return g
 }
 
-// InProcessEvaluator returns the default Evaluator: each generation
-// fans out through sweep.EvaluatePoints with the given seed, budget,
+// inProcessEvaluator is Optimize's default Evaluator: each generation
+// fans out through sweep.EvaluatePoints with the options' seed, budget,
 // worker pool and cache, under the space's "optimize/<name>" scenario
-// string. onPoint, when non-nil, observes every finished point (the
-// service wires its progress counters here).
-func InProcessEvaluator(space Space, seed uint64, budget sweep.Budget, workers int, cache sweep.Cache, onPoint func(index int, cached bool)) Evaluator {
-	scenario := space.ScenarioName()
-	return func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
-		return sweep.EvaluatePoints(ctx, scenario, pts, sweep.Config{
-			Workers: workers,
-			Seed:    seed,
-			Budget:  budget,
-			Cache:   cache,
-			OnPoint: onPoint,
-		})
+// string.
+func inProcessEvaluator(opts Options) Evaluator {
+	scenario := opts.Space.ScenarioName()
+	cfg := sweep.Config{Workers: opts.Workers, Seed: opts.Seed, Budget: opts.Budget, Cache: opts.Cache}
+	return func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
+		return sweep.EvaluatePoints(ctx, scenario, pts, cfg)
 	}
 }

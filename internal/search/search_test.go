@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -400,6 +401,39 @@ func TestOptimizeValidatesShape(t *testing.T) {
 	}
 }
 
+// TestNormalizeCapsEvaluations pins the ceiling on one run's size
+// without allocating it: Normalize (which the service calls at
+// submission and Optimize before generation 0) rejects more than
+// MaxEvaluations points, overflowing products included, and accepts
+// exactly MaxEvaluations.
+func TestNormalizeCapsEvaluations(t *testing.T) {
+	for _, tc := range []struct{ gens, pop int }{
+		{1, 1 << 30},
+		{1 << 40, 4},
+		{1, MaxEvaluations + 2},
+		{2, MaxEvaluations/2 + 2},
+		{1 << 62, 1 << 62},
+	} {
+		opts := optsFor(t, 0)
+		opts.Generations, opts.Population = tc.gens, tc.pop
+		err := opts.Normalize()
+		if err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("%d generations x %d: error %v, want the evaluation cap", tc.gens, tc.pop, err)
+		}
+	}
+	for _, tc := range []struct{ gens, pop int }{
+		{1, MaxEvaluations},
+		{MaxEvaluations / 4, 4},
+		{256, 256},
+	} {
+		opts := optsFor(t, 0)
+		opts.Generations, opts.Population = tc.gens, tc.pop
+		if err := opts.Normalize(); err != nil {
+			t.Errorf("%d generations x %d rejected: %v", tc.gens, tc.pop, err)
+		}
+	}
+}
+
 func TestOptimizeEvaluatorLengthMismatch(t *testing.T) {
 	opts := optsFor(t, 0)
 	opts.Evaluate = func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
@@ -414,7 +448,8 @@ func TestOptimizeEvaluatorSeesGlobalIndices(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	opts := optsFor(t, 0)
-	inner := InProcessEvaluator(opts.Space, opts.Seed, sweep.AnalyticBudget(), 0, nil, nil)
+	scenario := opts.Space.ScenarioName()
+	cfg := sweep.Config{Seed: opts.Seed, Budget: sweep.AnalyticBudget()}
 	opts.Evaluate = func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
 		mu.Lock()
 		for i, pt := range pts {
@@ -427,7 +462,7 @@ func TestOptimizeEvaluatorSeesGlobalIndices(t *testing.T) {
 			seen[pt.Index] = true
 		}
 		mu.Unlock()
-		return inner(ctx, gen, pts)
+		return sweep.EvaluatePoints(ctx, scenario, pts, cfg)
 	}
 	if _, err := Optimize(context.Background(), opts); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -18,71 +17,22 @@ import (
 // Client implements WorkerAPI over sweepd's HTTP worker endpoints, so a
 // cmd/sweepworker process anywhere on the network runs the same
 // RunWorker loop as the daemon's in-process fallback workers.
-//
-// Every lease-scoped request (heartbeat, complete, fail) is stamped
-// with the trace headers of the lease it belongs to, and reuses the
-// job's trace ID as its X-Request-ID — so a retried completion carries
-// the same identity as the original attempt and the daemon's access
-// log joins all of a chunk's RPCs under one ID instead of fragmenting
-// the trace across minted request IDs.
 type Client struct {
 	base string
 	hc   *http.Client
-
-	mu sync.Mutex
-	// traces maps lease ID to the span context stamped on the lease.
-	traces map[string]obs.SpanContext
 }
-
-// maxTrackedLeases bounds the trace map: leases the daemon never
-// resolved (worker crashed mid-chunk, daemon restarted) would otherwise
-// accumulate forever in a long-lived worker. Past the cap the map is
-// reset — in-flight chunks lose their headers, nothing else.
-const maxTrackedLeases = 4096
 
 // NewClient returns a worker client for the daemon at base
 // (e.g. "http://sweepd:8080").
 func NewClient(base string) *Client {
 	return &Client{
-		base:   strings.TrimRight(base, "/"),
-		hc:     &http.Client{Timeout: 30 * time.Second},
-		traces: make(map[string]obs.SpanContext),
+		base: strings.TrimRight(base, "/"),
+		hc:   &http.Client{Timeout: 30 * time.Second},
 	}
 }
 
-// remember records the lease's span context for header stamping.
-func (c *Client) remember(leaseID string, sc obs.SpanContext) {
-	if leaseID == "" || sc.TraceID == "" {
-		return
-	}
-	c.mu.Lock()
-	if len(c.traces) >= maxTrackedLeases {
-		c.traces = make(map[string]obs.SpanContext)
-	}
-	c.traces[leaseID] = sc
-	c.mu.Unlock()
-}
-
-// traceOf returns the span context remembered for the lease.
-func (c *Client) traceOf(leaseID string) obs.SpanContext {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traces[leaseID]
-}
-
-// forget drops a lease whose lifecycle ended (completed, failed, or
-// gone) from the trace map.
-func (c *Client) forget(leaseID string) {
-	c.mu.Lock()
-	delete(c.traces, leaseID)
-	c.mu.Unlock()
-}
-
-// post sends one JSON request, abandoned when ctx ends. A non-empty
-// leaseID stamps the request with the lease's trace headers; retries of
-// the same RPC rebuild the identical headers, so the daemon sees one
-// request identity per chunk.
-func (c *Client) post(ctx context.Context, path, leaseID string, body []byte) (*http.Response, error) {
+// post sends one JSON request, abandoned when ctx ends.
+func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -92,15 +42,6 @@ func (c *Client) post(ctx context.Context, path, leaseID string, body []byte) (*
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if leaseID != "" {
-		if sc := c.traceOf(leaseID); sc.TraceID != "" {
-			req.Header.Set(obs.RequestIDHeader, sc.TraceID)
-			req.Header.Set(obs.TraceIDHeader, sc.TraceID)
-			if sc.SpanID != "" {
-				req.Header.Set(obs.ParentSpanHeader, sc.SpanID)
-			}
-		}
-	}
 	return c.hc.Do(req)
 }
 
@@ -115,7 +56,7 @@ func (c *Client) Lease(worker string) (Lease, bool, error) {
 // request reports no work, as the in-process lease does.
 func (c *Client) lease(ctx context.Context, worker string) (Lease, bool, error) {
 	body, _ := json.Marshal(map[string]string{"worker": worker})
-	resp, err := c.post(ctx, "/api/v1/workers/lease", "", body)
+	resp, err := c.post(ctx, "/api/v1/workers/lease", body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Lease{}, false, nil
@@ -129,7 +70,6 @@ func (c *Client) lease(ctx context.Context, worker string) (Lease, bool, error) 
 		if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
 			return Lease{}, false, fmt.Errorf("service: lease response: %w", err)
 		}
-		c.remember(l.ID, obs.SpanContext{TraceID: l.TraceID, SpanID: l.SpanID})
 		return l, true, nil
 	case http.StatusNoContent:
 		return Lease{}, false, nil
@@ -140,7 +80,7 @@ func (c *Client) lease(ctx context.Context, worker string) (Lease, bool, error) 
 
 // Heartbeat implements WorkerAPI.
 func (c *Client) Heartbeat(leaseID string) (time.Duration, error) {
-	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/heartbeat", leaseID, nil)
+	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/heartbeat", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -155,7 +95,6 @@ func (c *Client) Heartbeat(leaseID string) (time.Duration, error) {
 		}
 		return time.Duration(v.TTLSeconds * float64(time.Second)), nil
 	case http.StatusGone:
-		c.forget(leaseID)
 		return 0, ErrLeaseGone
 	default:
 		return 0, httpError("heartbeat", resp)
@@ -192,17 +131,15 @@ func (c *Client) complete(leaseID string, recs []sweep.Record, spans []obs.SpanR
 		body = append(body, sp...)
 	}
 	body = append(body, '}')
-	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/complete", leaseID, body)
+	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/complete", body)
 	if err != nil {
 		return err
 	}
 	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		c.forget(leaseID)
 		return nil
 	case http.StatusGone:
-		c.forget(leaseID)
 		return ErrLeaseGone
 	case http.StatusUnprocessableEntity:
 		return fmt.Errorf("%w: %s", ErrBadRecords, bodyError(resp).Message)
@@ -214,17 +151,15 @@ func (c *Client) complete(leaseID string, recs []sweep.Record, spans []obs.SpanR
 // FailLease implements WorkerAPI.
 func (c *Client) FailLease(leaseID, reason string) error {
 	body, _ := json.Marshal(map[string]string{"error": reason})
-	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/fail", leaseID, body)
+	resp, err := c.post(context.Background(), "/api/v1/workers/leases/"+leaseID+"/fail", body)
 	if err != nil {
 		return err
 	}
 	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		c.forget(leaseID)
 		return nil
 	case http.StatusGone:
-		c.forget(leaseID)
 		return ErrLeaseGone
 	default:
 		return httpError("fail", resp)

@@ -56,8 +56,8 @@ type Lease struct {
 	// TraceID and SpanID tie the lease into its job's distributed
 	// trace: TraceID is the job's root trace, SpanID the chunk span the
 	// dispatcher minted at lease issue — the parent for every span the
-	// worker emits about this chunk, and the X-Trace-ID/X-Parent-Span
-	// header pair on its RPCs. Both are empty when the daemon runs
+	// worker emits about this chunk. The lease body is the only channel
+	// trace identity travels on. Both are empty when the daemon runs
 	// without a trace collector; workers then skip span emission.
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,6 +119,41 @@ func TestSubmitValidatesOptimize(t *testing.T) {
 	// A sweep submission without optimize fields still works.
 	if _, err := m.Submit(Request{Scenario: "paper-baseline"}); err != nil {
 		t.Errorf("plain sweep submission failed: %v", err)
+	}
+}
+
+// TestSubmitRejectsOversizedOptimize: an optimization asking for more
+// than search.MaxEvaluations points is a bad request, at Submit and
+// over HTTP, before anything is allocated for it — a population of
+// 2^30 would otherwise build 24 GB of genome headers in generation 0,
+// and Generations*Population could overflow the progress total.
+func TestSubmitRejectsOversizedOptimize(t *testing.T) {
+	m := New(Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
+	for _, shape := range []struct{ gens, pop int }{{0, 1 << 30}, {1 << 40, 4}} {
+		req := Request{Kind: KindOptimize, Space: "paper-baseline", Generations: shape.gens, Population: shape.pop}
+		if _, err := m.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("generations %d, population %d: error %v, want ErrBadRequest", shape.gens, shape.pop, err)
+		}
+	}
+
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"optimize","space":"paper-baseline","population":1073741824}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("oversized optimize over HTTP = %d %q, want 400 bad_request", resp.StatusCode, env.Error.Code)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("%d jobs registered after rejected submissions", n)
 	}
 }
 

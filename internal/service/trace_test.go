@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -401,41 +402,32 @@ func TestStragglerDetection(t *testing.T) {
 	}
 }
 
-// TestClientRetryKeepsTraceIdentity pins the retry contract: every RPC
-// a Client sends about one lease — first attempt and retries alike —
-// carries the job's trace ID as its X-Request-ID plus the
-// X-Trace-ID/X-Parent-Span pair, so a flaky completion does not
-// fragment the trace or the daemon's access log.
-func TestClientRetryKeepsTraceIdentity(t *testing.T) {
+// TestClientCompleteRetriesServerError pins the worker's completion
+// retry over the real Client: the first attempt answers 500, the retry
+// lands with the same body, and the daemon sees exactly two attempts.
+func TestClientCompleteRetriesServerError(t *testing.T) {
 	var (
-		mu        sync.Mutex
-		completes []http.Header
-		beats     []http.Header
+		mu     sync.Mutex
+		bodies []string
 	)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/workers/lease", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(Lease{
 			ID: "L1", JobID: "job-1", Scenario: "paper-baseline",
-			TraceID: "trace-77", SpanID: "span-88",
 			Engine: sweep.EngineVersion, TTLSeconds: 30,
 		})
 	})
 	mux.HandleFunc("POST /api/v1/workers/leases/L1/complete", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
 		mu.Lock()
-		completes = append(completes, r.Header.Clone())
-		n := len(completes)
+		bodies = append(bodies, string(body))
+		n := len(bodies)
 		mu.Unlock()
 		if n == 1 {
 			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
 			return
 		}
 		fmt.Fprint(w, `{"status":"ok"}`)
-	})
-	mux.HandleFunc("POST /api/v1/workers/leases/L1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		beats = append(beats, r.Header.Clone())
-		mu.Unlock()
-		fmt.Fprint(w, `{"ttl_seconds":30}`)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -445,43 +437,19 @@ func TestClientRetryKeepsTraceIdentity(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := c.Heartbeat(l.ID); err != nil {
-		t.Fatal(err)
-	}
+	recs := []sweep.Record{{Scenario: l.Scenario, Index: 0, Label: "p0"}}
 	// The real worker retry loop: first attempt 500s, the retry lands.
-	if err := completeWithRetry(context.Background(), c, l.ID, nil, nil); err != nil {
+	if err := completeWithRetry(context.Background(), c, l.ID, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	mu.Lock()
-	gotBeats := append([]http.Header{}, beats...)
-	gotCompletes := append([]http.Header{}, completes...)
-	mu.Unlock()
-	if len(gotCompletes) != 2 {
-		t.Fatalf("daemon saw %d completion attempts, want 2", len(gotCompletes))
+	defer mu.Unlock()
+	if len(bodies) != 2 {
+		t.Fatalf("daemon saw %d completion attempts, want 2", len(bodies))
 	}
-	for i, h := range append(gotBeats, gotCompletes...) {
-		if got := h.Get(obs.RequestIDHeader); got != "trace-77" {
-			t.Fatalf("attempt %d: X-Request-ID = %q, want the trace ID", i, got)
-		}
-		if got := h.Get(obs.TraceIDHeader); got != "trace-77" {
-			t.Fatalf("attempt %d: X-Trace-ID = %q", i, got)
-		}
-		if got := h.Get(obs.ParentSpanHeader); got != "span-88" {
-			t.Fatalf("attempt %d: X-Parent-Span = %q", i, got)
-		}
-	}
-
-	// The successful completion retires the lease from the trace map; a
-	// stray late heartbeat goes out unstamped.
-	if _, err := c.Heartbeat(l.ID); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	last := beats[len(beats)-1]
-	mu.Unlock()
-	if last.Get(obs.TraceIDHeader) != "" {
-		t.Fatalf("late heartbeat still stamped: %q", last.Get(obs.TraceIDHeader))
+	if bodies[0] != bodies[1] || !strings.Contains(bodies[0], `"label":"p0"`) {
+		t.Fatalf("retry body differs from the first attempt or lost the records:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 

@@ -70,12 +70,6 @@ func ParseConstraint(expr string) (Constraint, error) {
 	return c, nil
 }
 
-// String renders the constraint in canonical form: single spaces and
-// the shortest round-trip number.
-func (c Constraint) String() string {
-	return c.Metric + " " + c.Op + " " + strconv.FormatFloat(c.Value, 'g', -1, 64)
-}
-
 // Holds reports whether the record satisfies the constraint. A record
 // that failed evaluation (Err set) never satisfies any constraint.
 func (c Constraint) Holds(r sweep.Record) bool {

@@ -15,14 +15,14 @@
 //     submission time with actionable messages, never at evaluation
 //     time on a worker.
 //
-//   - Serialization is canonical: Canonical renders a parsed spec with
-//     sorted keys, normalized numbers and defaults filled in, so
-//     semantically equal documents — reordered keys, "100" vs "1e2",
-//     an omitted default — share one byte representation. The scenario
-//     identity hashed into every sweep.PointKey covers exactly the
-//     grid-defining parts (base + axes), which means two tenants
-//     submitting equivalent studies share every cached point, and
-//     re-submitting a spec is a zero-compute warm run.
+//   - The grid identity is canonical: GridCanonical renders the
+//     grid-defining parts (base + axes) with sorted keys, normalized
+//     numbers and defaults filled in, so semantically equal documents
+//     — reordered keys, "100" vs "1e2", an omitted default — share one
+//     byte representation. Its Hash is the scenario identity stamped
+//     into every sweep.PointKey, which means two tenants submitting
+//     equivalent studies share every cached point, and re-submitting a
+//     spec is a zero-compute warm run.
 package spec
 
 import (
@@ -41,8 +41,8 @@ import (
 // MaxGridPoints is the hard ceiling on the number of grid points a
 // single spec may declare; a per-spec max_points may only lower it.
 // The cap bounds what one submission can demand from the fleet before
-// any evaluation starts.
-const MaxGridPoints = 65536
+// any evaluation starts, and an optimization is held to the same one.
+const MaxGridPoints = search.MaxEvaluations
 
 // Axis declares one varied knob of the design space.
 type Axis struct {
@@ -289,47 +289,6 @@ func (ax *Axis) values() []any {
 		return ax.Values
 	}
 	return nil
-}
-
-// Canonical renders the validated spec in its one canonical byte form:
-// sorted object keys, shortest round-trip numbers, defaults filled in
-// (integer step 1, budget "analytic") and zero-valued optional fields
-// dropped. Parse(Canonical(s)) re-canonicalises to the same bytes — the
-// fixed point FuzzSpecCanonicalRoundTrip pins down.
-func (s *Spec) Canonical() []byte {
-	doc := map[string]any{
-		"name": s.Name,
-		"axes": canonicalAxes(s.Axes),
-	}
-	if s.Description != "" {
-		doc["description"] = s.Description
-	}
-	if len(s.Base) > 0 {
-		doc["base"] = s.Base
-	}
-	if len(s.Objectives) > 0 {
-		doc["objectives"] = s.Objectives
-	}
-	if len(s.Constraints) > 0 {
-		cs := make([]string, len(s.Constraints))
-		for i, c := range s.Constraints {
-			pc, err := ParseConstraint(c)
-			if err != nil {
-				panic(fmt.Sprintf("spec: Canonical on unvalidated spec: %v", err))
-			}
-			cs[i] = pc.String()
-		}
-		doc["constraints"] = cs
-	}
-	budget := s.Budget
-	if budget == "" {
-		budget = "analytic"
-	}
-	doc["budget"] = budget
-	if s.MaxPoints > 0 {
-		doc["max_points"] = s.MaxPoints
-	}
-	return mustMarshal(doc)
 }
 
 // canonicalAxes normalises each axis to the minimal field set for its

@@ -188,18 +188,28 @@ func TestCanonicalKeyOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestCanonicalFixedPoint: Canonical(Parse(Canonical(s))) == Canonical(s).
+// reparseGrid names the grid document GridCanonical renders and parses
+// it back: the grid identity must survive as a spec of its own.
+func reparseGrid(t testing.TB, s *Spec) (canon []byte, again *Spec) {
+	t.Helper()
+	canon = s.GridCanonical()
+	doc := append([]byte(`{"name":"grid",`), canon[1:]...)
+	again, err := Parse(doc)
+	if err != nil {
+		t.Fatalf("grid document does not reparse: %v\n%s", err, doc)
+	}
+	return canon, again
+}
+
+// TestCanonicalFixedPoint: GridCanonical(Parse(GridCanonical(s))) ==
+// GridCanonical(s), and the hash survives the round trip.
 func TestCanonicalFixedPoint(t *testing.T) {
 	s, err := Parse([]byte(validDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := s.Canonical()
-	s2, err := Parse(canon)
-	if err != nil {
-		t.Fatalf("canonical form does not reparse: %v\n%s", err, canon)
-	}
-	if again := s2.Canonical(); !bytes.Equal(canon, again) {
+	canon, s2 := reparseGrid(t, s)
+	if again := s2.GridCanonical(); !bytes.Equal(canon, again) {
 		t.Fatalf("canonicalisation is not a fixed point:\n%s\n%s", canon, again)
 	}
 	if s.Hash() != s2.Hash() {
@@ -272,11 +282,11 @@ func TestSpaceCompile(t *testing.T) {
 }
 
 // FuzzSpecCanonicalRoundTrip drives arbitrary documents through Parse;
-// whenever one is accepted, its canonical form must reparse to the same
-// canonical bytes and the same grid hash (fixed point), and a
-// syntactically shuffled equivalent — produced by reparsing the
-// canonical form itself — must share the hash (key-order
-// insensitivity comes from parsing into structs, which this locks in).
+// whenever one is accepted, its canonical grid document (named, so it
+// parses) must reparse to the same GridCanonical bytes and the same
+// grid hash (fixed point) — the reparsed document drops every
+// presentation field and reorders keys, so this also locks in that
+// neither moves the grid identity.
 func FuzzSpecCanonicalRoundTrip(f *testing.F) {
 	f.Add([]byte(validDoc))
 	f.Add([]byte(`{"name":"n","axes":[{"name":"butler","kind":"bool"}]}`))
@@ -290,12 +300,8 @@ func FuzzSpecCanonicalRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		canon := s.Canonical()
-		s2, err := Parse(canon)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %v\n%s", err, canon)
-		}
-		if again := s2.Canonical(); !bytes.Equal(canon, again) {
+		canon, s2 := reparseGrid(t, s)
+		if again := s2.GridCanonical(); !bytes.Equal(canon, again) {
 			t.Fatalf("not a fixed point:\n%s\n%s", canon, again)
 		}
 		if s.Hash() != s2.Hash() {

@@ -144,27 +144,59 @@ type Result struct {
 	ComputedPoints int `json:"computed_points"`
 }
 
-// pointEvaluator returns the closure Run and EvaluatePoints share: it evaluates one point by slice position,
-// reading through cfg.Cache and reporting to cfg.OnPoint. cached, when
-// non-nil, counts cache hits. The random sub-stream is derived from the
-// point's own Index (identical to the slice position for scenario grids,
-// a global evaluation index for optimizer generations), so any slice of
-// points reproduces the records a full evaluation would give them.
-func pointEvaluator(scenario string, pts []Point, cfg Config, root *rng.Stream, cached *atomic.Int64) func(i int) Record {
+// Run evaluates the scenario's grid through EvaluatePoints and
+// extracts the Pareto front.
+func Run(ctx context.Context, sc Scenario, cfg Config) (*Result, error) {
+	pts := sc.Points()
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("sweep: scenario %q generates no points", sc.Name)
+	}
+	recs, cached, err := EvaluatePoints(ctx, sc.Name, pts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Scenario:       sc.Name,
+		Description:    sc.Description,
+		Seed:           cfg.Seed,
+		Budget:         cfg.Budget.Name,
+		Records:        recs,
+		CachedPoints:   cached,
+		ComputedPoints: len(recs) - cached,
+	}
+	res.ParetoIndices = MarkParetoFeasible(res.Records, cfg.Feasible)
+	return res, nil
+}
+
+// EvaluatePoints evaluates an arbitrary list of design points — a
+// scenario's grid for Run, or any slice of points — through the
+// parallel executor, reading through cfg.Cache and reporting to
+// cfg.OnPoint. It returns the records in slice order plus how many
+// were served from cfg.Cache.
+//
+// Each point's random sub-stream is rng.New(cfg.Seed).Split(Index+1), a
+// pure function of (seed, point index): callers that assign globally
+// unique indices (the adaptive optimizer numbers individuals
+// generation*population+i) get worker-count-independent, byte-identical
+// records for any partition of the list, exactly like scenario grids.
+// scenario names the point family in records and cache keys; optimizer
+// evaluations use "optimize/<space>" so they never collide with grid
+// scenarios.
+func EvaluatePoints(ctx context.Context, scenario string, pts []Point, cfg Config) ([]Record, int, error) {
+	root := rng.New(cfg.Seed)
 	var keyer *Keyer
 	if cfg.Cache != nil {
 		// One keyer per evaluation context: the envelope's constant
 		// segments render once instead of once per point.
 		keyer = NewKeyer(scenario, cfg.Budget, cfg.Seed)
 	}
-	return func(i int) Record {
+	var cached atomic.Int64
+	recs, err := Map(ctx, len(pts), cfg.Workers, func(i int) Record {
 		var key string
 		if cfg.Cache != nil {
 			key = keyer.Key(pts[i])
 			if rec, ok := cfg.Cache.Get(key); ok {
-				if cached != nil {
-					cached.Add(1)
-				}
+				cached.Add(1)
 				// The front is a property of the sweep, not the point;
 				// whoever merges the records recomputes it whatever the
 				// stored flag says.
@@ -186,51 +218,6 @@ func pointEvaluator(scenario string, pts []Point, cfg Config, root *rng.Stream, 
 			cfg.OnPoint(pts[i].Index, false)
 		}
 		return rec
-	}
-}
-
-// Run executes the scenario's grid through the parallel executor and
-// extracts the Pareto front.
-func Run(ctx context.Context, sc Scenario, cfg Config) (*Result, error) {
-	pts := sc.Points()
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("sweep: scenario %q generates no points", sc.Name)
-	}
-	var cached atomic.Int64
-	eval := pointEvaluator(sc.Name, pts, cfg, rng.New(cfg.Seed), &cached)
-	recs, err := Map(ctx, len(pts), cfg.Workers, eval)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Scenario:       sc.Name,
-		Description:    sc.Description,
-		Seed:           cfg.Seed,
-		Budget:         cfg.Budget.Name,
-		Records:        recs,
-		CachedPoints:   int(cached.Load()),
-		ComputedPoints: len(recs) - int(cached.Load()),
-	}
-	res.ParetoIndices = MarkParetoFeasible(res.Records, cfg.Feasible)
-	return res, nil
-}
-
-// EvaluatePoints evaluates an arbitrary list of design points — not
-// necessarily a registered scenario's grid — through the same parallel
-// executor, cache read-through and OnPoint reporting as Run. It returns
-// the records in slice order plus how many were served from cfg.Cache.
-//
-// Each point's random sub-stream is rng.New(cfg.Seed).Split(Index+1), a
-// pure function of (seed, point index): callers that assign globally
-// unique indices (the adaptive optimizer numbers individuals
-// generation*population+i) get worker-count-independent, byte-identical
-// records for any partition of the list, exactly like scenario grids.
-// scenario names the point family in records and cache keys; optimizer
-// evaluations use "optimize/<space>" so they never collide with grid
-// scenarios.
-func EvaluatePoints(ctx context.Context, scenario string, pts []Point, cfg Config) ([]Record, int, error) {
-	var cached atomic.Int64
-	eval := pointEvaluator(scenario, pts, cfg, rng.New(cfg.Seed), &cached)
-	recs, err := Map(ctx, len(pts), cfg.Workers, eval)
+	})
 	return recs, int(cached.Load()), err
 }
