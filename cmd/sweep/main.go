@@ -23,10 +23,15 @@
 // -spec replaces the registered name with a user-authored declarative
 // scenario spec (JSON; see docs/specs.md): its axes define the grid (or
 // the optimizer's search ranges), its constraints mark feasibility on
-// the Pareto front, and its budget applies unless -budget overrides it.
-// -daemon submits the same work to a running sweepd instead of
-// executing locally; the daemon's worker fleet computes the records and
-// the CLI streams them back, byte-identical to a local run.
+// the Pareto front, and its budget (and objectives) apply unless -budget
+// (or -objectives) overrides them.
+//
+// run and optimize turn their flags into a service.Request and resolve
+// it with service.Resolve, the rule sweepd applies to every submission:
+// name or spec, then request fields over spec fields over defaults. A
+// local run executes the resolved Plan; run -daemon posts the same
+// request to a running sweepd instead, whose worker fleet computes the
+// records the CLI streams back, byte-identical to a local run.
 //
 // trace and fleet read a running sweepd's observability endpoints:
 // trace prints a job's phase timeline (or, with -raw, its spans as
@@ -50,16 +55,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/fsio"
 	"repro/internal/search"
 	"repro/internal/service"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/sweep/store"
 )
@@ -72,7 +79,7 @@ func main() {
 	fail := func(err error) {
 		// Package errors already carry their prefix; add ours only
 		// to bare messages.
-		if strings.HasPrefix(err.Error(), "sweep:") || strings.HasPrefix(err.Error(), "search:") {
+		if msg := err.Error(); strings.HasPrefix(msg, "sweep:") || strings.HasPrefix(msg, "search:") || strings.HasPrefix(msg, "service:") {
 			fmt.Fprintln(os.Stderr, err)
 		} else {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
@@ -157,83 +164,107 @@ func spaceCatalog() string {
 	return sb.String()
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	scenario := fs.String("scenario", "", "scenario name (see 'sweep list')")
-	specPath := fs.String("spec", "", "declarative scenario spec file (JSON; see docs/specs.md)")
-	daemon := fs.String("daemon", "", "submit to a running sweepd at this URL instead of executing locally")
-	out := fs.String("out", "", "JSON output path ('-' for stdout)")
-	csvOut := fs.String("csv", "", "optional CSV output path")
-	workers := fs.Int("workers", 0, "worker pool size (0 = NumCPU); records do not depend on it")
-	seed := fs.Uint64("seed", 1, "root seed of the per-point random sub-streams")
-	budgetName := fs.String("budget", "analytic", "Monte-Carlo effort: analytic, smoke or standard")
-	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
-	storeDir := fs.String("store", "", "result store directory shared with sweepd (read-through cache)")
-	if err := fs.Parse(args); err != nil {
+// jobFlags are the flags 'sweep run' and 'sweep optimize' share. They
+// fill one service.Request: -daemon posts it to sweepd, and a local run
+// executes the Plan that service.Resolve makes of it, so both go
+// through the daemon's own precedence rule.
+type jobFlags struct {
+	*flag.FlagSet
+	req                             service.Request
+	specPath, out, csvOut, storeDir string
+	timeout                         time.Duration
+}
+
+func newJobFlags(name, kind string) *jobFlags {
+	f := &jobFlags{FlagSet: flag.NewFlagSet(name, flag.ExitOnError), req: service.Request{Kind: kind}}
+	f.StringVar(&f.specPath, "spec", "", "declarative scenario spec file (JSON; see docs/specs.md)")
+	f.StringVar(&f.out, "out", "", "JSON output path ('-' for stdout)")
+	f.StringVar(&f.csvOut, "csv", "", "optional CSV output path (one row per evaluated point)")
+	f.IntVar(&f.req.Workers, "workers", 0, "worker pool size (0 = NumCPU); results do not depend on it")
+	f.Uint64Var(&f.req.Seed, "seed", 1, "root seed of the run's random sub-streams")
+	f.StringVar(&f.req.Budget, "budget", "", "Monte-Carlo effort: analytic, smoke or standard (default: the spec's budget, else analytic)")
+	f.DurationVar(&f.timeout, "timeout", 0, "overall deadline (0 = none)")
+	f.StringVar(&f.storeDir, "store", "", "result store directory shared with sweepd (read-through cache)")
+	return f
+}
+
+// parse reads the flags, and the -spec document into the request.
+func (f *jobFlags) parse(args []string) error {
+	if err := f.Parse(args); err != nil || f.specPath == "" {
 		return err
 	}
-	if *scenario == "" && *specPath == "" {
+	raw, err := os.ReadFile(f.specPath)
+	if err == nil && len(raw) == 0 {
+		// An empty body would read as "no spec" to the resolver.
+		err = fmt.Errorf("%s: empty spec file", f.specPath)
+	}
+	f.req.Spec = raw
+	return err
+}
+
+// resolve makes the request's Plan with service.Resolve. A name the
+// registry does not know fails with the whole catalog, so the user can
+// correct the invocation without a second round trip through 'sweep
+// list' or 'sweep spaces'.
+func (f *jobFlags) resolve() (service.Plan, error) {
+	plan, err := service.Resolve(f.req)
+	switch {
+	case err == nil:
+	case f.req.Scenario != "" && !slices.Contains(sweep.Names(), f.req.Scenario):
+		err = fmt.Errorf("unknown scenario %q; known scenarios:\n%s", f.req.Scenario, scenarioCatalog())
+	case f.req.Space != "" && !slices.Contains(search.Names(), f.req.Space):
+		err = fmt.Errorf("unknown space %q; known spaces:\n%s", f.req.Space, spaceCatalog())
+	case errors.Is(err, service.ErrBadSpec):
+		err = fmt.Errorf("%s: %w", f.specPath, err)
+	}
+	return plan, err
+}
+
+// writeOutputs writes the -out JSON document (to stdout for "-") and
+// the -csv record table.
+func (f *jobFlags) writeOutputs(writeJSON func(io.Writer) error, recs []sweep.Record) error {
+	if f.out == "-" {
+		if err := writeJSON(os.Stdout); err != nil {
+			return err
+		}
+	} else if f.out != "" {
+		if err := fsio.WriteFileAtomic(f.out, func(w *os.File) error { return writeJSON(w) }); err != nil {
+			return err
+		}
+		fmt.Println("wrote", f.out)
+	}
+	if f.csvOut != "" {
+		if err := fsio.WriteFileAtomic(f.csvOut, func(w *os.File) error { return sweep.WriteCSV(w, recs) }); err != nil {
+			return err
+		}
+		fmt.Println("wrote", f.csvOut)
+	}
+	return nil
+}
+
+func run(args []string) error {
+	f := newJobFlags("run", service.KindSweep)
+	f.StringVar(&f.req.Scenario, "scenario", "", "scenario name (see 'sweep list')")
+	daemon := f.String("daemon", "", "submit to a running sweepd at this URL instead of executing locally")
+	if err := f.parse(args); err != nil {
+		return err
+	}
+	if f.req.Scenario == "" && f.specPath == "" {
 		return fmt.Errorf("missing -scenario or -spec (see 'sweep list' and docs/specs.md)")
 	}
-	if *scenario != "" && *specPath != "" {
-		return fmt.Errorf("-scenario and -spec are mutually exclusive")
-	}
-
-	var userSpec *spec.Spec
-	var rawSpec []byte
-	if *specPath != "" {
-		var err error
-		if userSpec, rawSpec, err = loadSpec(*specPath); err != nil {
-			return err
-		}
-	}
-
 	if *daemon != "" {
-		// The daemon path submits the raw document (or registry name) and
-		// lets sweepd — and whatever worker fleet is leased in — do the
-		// computing; records come back byte-identical to a local run.
-		req := service.Request{
-			Kind:     service.KindSweep,
-			Scenario: *scenario,
-			Spec:     rawSpec,
-			Seed:     *seed,
-			Workers:  *workers,
-		}
-		// Only an explicit -budget overrides the spec's own choice.
-		if userSpec == nil || flagWasSet(fs, "budget") {
-			req.Budget = *budgetName
-		}
-		return submitAndStream(*daemon, req, *out, *timeout)
+		return submitAndStream(*daemon, f.req, f.out, f.timeout)
 	}
-
-	var sc sweep.Scenario
-	var feasible func(sweep.Record) bool
-	budgetChoice := *budgetName
-	if userSpec != nil {
-		compiled, err := userSpec.Compile()
-		if err != nil {
-			return err
-		}
-		sc = compiled.Scenario
-		feasible = compiled.Feasible
-		if userSpec.Budget != "" && !flagWasSet(fs, "budget") {
-			budgetChoice = userSpec.Budget
-		}
-		fmt.Printf("spec %q -> scenario %s: %d points, %d axes\n",
-			userSpec.Name, sc.Name, len(compiled.Points), len(userSpec.Axes))
-	} else {
-		var err error
-		if sc, err = sweep.Get(*scenario); err != nil {
-			return fmt.Errorf("unknown scenario %q; known scenarios:\n%s", *scenario, scenarioCatalog())
-		}
-	}
-	budget, err := sweep.ParseBudget(budgetChoice)
+	plan, err := f.resolve()
 	if err != nil {
 		return err
 	}
+	if plan.SpecName != "" {
+		fmt.Printf("spec %q -> scenario %s\n", plan.SpecName, plan.Scenario.Name)
+	}
 
-	cfg := sweep.Config{Workers: *workers, Seed: *seed, Budget: budget, Feasible: feasible}
-	st, err := openStore(*storeDir)
+	cfg := sweep.Config{Workers: f.req.Workers, Seed: f.req.Seed, Budget: plan.Budget, Feasible: plan.Feasible}
+	st, err := openStore(f.storeDir)
 	if err != nil {
 		return err
 	}
@@ -241,11 +272,11 @@ func run(args []string) error {
 		cfg.Cache = st
 	}
 
-	ctx, cancel := runContext(*timeout)
+	ctx, cancel := runContext(f.timeout)
 	defer cancel()
 
 	start := time.Now()
-	res, err := sweep.Run(ctx, sc, cfg)
+	res, err := sweep.Run(ctx, plan.Scenario, cfg)
 	if err = flushStore(st, err); err != nil {
 		return err
 	}
@@ -254,7 +285,7 @@ func run(args []string) error {
 		res.Scenario, len(res.Records), res.Budget, time.Since(start).Seconds())
 	if st != nil {
 		fmt.Printf("store %s: %d points cached, %d computed\n",
-			*storeDir, res.CachedPoints, res.ComputedPoints)
+			f.storeDir, res.CachedPoints, res.ComputedPoints)
 	}
 	for _, r := range res.Records {
 		fmt.Println(" ", r.Summary())
@@ -264,123 +295,42 @@ func run(args []string) error {
 	for _, i := range res.ParetoIndices {
 		fmt.Println("  ", res.Records[i].Summary())
 	}
-
-	if *out != "" {
-		if *out == "-" {
-			if err := sweep.WriteJSON(os.Stdout, res); err != nil {
-				return err
-			}
-		} else {
-			if err := fsio.WriteFileAtomic(*out, func(f *os.File) error {
-				return sweep.WriteJSON(f, res)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *out)
-		}
-	}
-	if *csvOut != "" {
-		if err := fsio.WriteFileAtomic(*csvOut, func(f *os.File) error {
-			return sweep.WriteCSV(f, res.Records)
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *csvOut)
-	}
-	return nil
+	return f.writeOutputs(func(w io.Writer) error { return sweep.WriteJSON(w, res) }, res.Records)
 }
 
 // optimize runs the adaptive multi-objective search over a registered
 // space, streaming one line per generation and ending with the final
 // Pareto front.
 func optimize(args []string) error {
-	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
-	spaceName := fs.String("space", "", "search space name (see 'sweep spaces')")
-	specPath := fs.String("spec", "", "declarative scenario spec file (JSON; see docs/specs.md)")
-	objectivesCSV := fs.String("objectives", "", "comma-separated objective names (default tx-power,decode-latency,noc-saturation)")
-	generations := fs.Int("generations", 0, "generations to evolve (0 = default)")
-	population := fs.Int("population", 0, "individuals per generation, even and >= 4 (0 = default)")
-	out := fs.String("out", "", "JSON output path ('-' for stdout)")
-	csvOut := fs.String("csv", "", "optional CSV output path (every evaluated individual)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = NumCPU); results do not depend on it")
-	seed := fs.Uint64("seed", 1, "root seed of the run (genetics and evaluation)")
-	budgetName := fs.String("budget", "analytic", "Monte-Carlo effort: analytic, smoke or standard")
-	timeout := fs.Duration("timeout", 0, "overall deadline (0 = none)")
-	storeDir := fs.String("store", "", "result store directory shared with sweepd (read-through cache)")
-	if err := fs.Parse(args); err != nil {
+	f := newJobFlags("optimize", service.KindOptimize)
+	f.StringVar(&f.req.Space, "space", "", "search space name (see 'sweep spaces')")
+	objectivesCSV := f.String("objectives", "", "comma-separated objective names (default: the spec's, else tx-power,decode-latency,noc-saturation)")
+	f.IntVar(&f.req.Generations, "generations", 0, "generations to evolve (0 = default)")
+	f.IntVar(&f.req.Population, "population", 0, "individuals per generation, even and >= 4 (0 = default)")
+	if err := f.parse(args); err != nil {
 		return err
 	}
-	if *spaceName == "" && *specPath == "" {
+	if f.req.Space == "" && f.specPath == "" {
 		return fmt.Errorf("missing -space or -spec (see 'sweep spaces' and docs/specs.md)")
 	}
-	if *spaceName != "" && *specPath != "" {
-		return fmt.Errorf("-space and -spec are mutually exclusive")
+	if *objectivesCSV != "" {
+		f.req.Objectives = strings.Split(*objectivesCSV, ",")
 	}
-
-	var sp search.Space
-	var objs []search.Objective
-	var feasible func(sweep.Record) bool
-	budgetChoice := *budgetName
-	if *specPath != "" {
-		userSpec, _, err := loadSpec(*specPath)
-		if err != nil {
-			return err
-		}
-		if sp, err = userSpec.Space(); err != nil {
-			return err
-		}
-		if feasible, err = userSpec.FeasibleFunc(); err != nil {
-			return err
-		}
-		// An explicit -objectives overrides the spec's own list, the same
-		// precedence the daemon gives a Request's fields over the spec's.
-		if *objectivesCSV != "" {
-			if objs, err = search.ParseObjectives(strings.Split(*objectivesCSV, ",")); err != nil {
-				return err
-			}
-		} else if objs, err = userSpec.SearchObjectives(); err != nil {
-			return err
-		}
-		if userSpec.Budget != "" && !flagWasSet(fs, "budget") {
-			budgetChoice = userSpec.Budget
-		}
-	} else {
-		var err error
-		if sp, err = search.Get(*spaceName); err != nil {
-			return fmt.Errorf("unknown space %q; known spaces:\n%s", *spaceName, spaceCatalog())
-		}
-		var objectives []string
-		if *objectivesCSV != "" {
-			objectives = strings.Split(*objectivesCSV, ",")
-		}
-		if objs, err = search.ParseObjectives(objectives); err != nil {
-			return err
-		}
-	}
-	budget, err := sweep.ParseBudget(budgetChoice)
+	plan, err := f.resolve()
 	if err != nil {
 		return err
 	}
 
-	opts := search.Options{
-		Space:       sp,
-		Objectives:  objs,
-		Feasible:    feasible,
-		Seed:        *seed,
-		Generations: *generations,
-		Population:  *population,
-		Budget:      budget,
-		Workers:     *workers,
-		OnGeneration: func(g search.Generation) {
-			line := fmt.Sprintf("gen %3d: front %2d, %d evaluated (%d cached)",
-				g.Gen, g.FrontSize, g.Evaluated, g.Cached)
-			for _, b := range g.Best {
-				line += fmt.Sprintf("  %s %.4g", b.Objective, b.Value)
-			}
-			fmt.Println(line)
-		},
+	opts := plan.Search
+	opts.OnGeneration = func(g search.Generation) {
+		line := fmt.Sprintf("gen %3d: front %2d, %d evaluated (%d cached)",
+			g.Gen, g.FrontSize, g.Evaluated, g.Cached)
+		for _, b := range g.Best {
+			line += fmt.Sprintf("  %s %.4g", b.Objective, b.Value)
+		}
+		fmt.Println(line)
 	}
-	st, err := openStore(*storeDir)
+	st, err := openStore(f.storeDir)
 	if err != nil {
 		return err
 	}
@@ -388,7 +338,7 @@ func optimize(args []string) error {
 		opts.Cache = st
 	}
 
-	ctx, cancel := runContext(*timeout)
+	ctx, cancel := runContext(f.timeout)
 	defer cancel()
 
 	start := time.Now()
@@ -405,30 +355,12 @@ func optimize(args []string) error {
 	for _, rec := range res.Front() {
 		fmt.Println("  ", rec.Summary())
 	}
-
-	if *out != "" {
-		if *out == "-" {
-			if err := writeResultJSON(os.Stdout, res); err != nil {
-				return err
-			}
-		} else {
-			if err := fsio.WriteFileAtomic(*out, func(f *os.File) error {
-				return writeResultJSON(f, res)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *out)
-		}
-	}
-	if *csvOut != "" {
-		if err := fsio.WriteFileAtomic(*csvOut, func(f *os.File) error {
-			return sweep.WriteCSV(f, res.Records)
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *csvOut)
-	}
-	return nil
+	// Indented JSON with the same fixed formatting as sweep.WriteJSON.
+	return f.writeOutputs(func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
+	}, res.Records)
 }
 
 // storeCmd administers the on-disk result store:
@@ -479,14 +411,6 @@ func storeCmd(args []string) error {
 		flushStore(st, nil)
 		return fmt.Errorf("unknown store subcommand %q (want stats or compact)", sub)
 	}
-}
-
-// writeResultJSON emits the optimization result as indented JSON with
-// the same fixed formatting guarantees as sweep.WriteJSON.
-func writeResultJSON(f *os.File, res *search.Result) error {
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // openStore opens the shared result store with whatever shard layout

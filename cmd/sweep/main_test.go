@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/search"
+	"repro/internal/service"
 	"repro/internal/sweep"
 )
 
@@ -134,5 +138,75 @@ func TestUnknownScenarioExitCode(t *testing.T) {
 		if !strings.Contains(stderr.String(), name) {
 			t.Errorf("stderr does not list known scenario %q:\n%s", name, stderr.String())
 		}
+	}
+}
+
+// TestRunSpecLocalMatchesDaemon: 'sweep run -spec' builds one
+// service.Request for both branches, so a local run and a -daemon run
+// against sweepd resolve it alike and write the same records. Without
+// -budget the spec's own budget applies; with it the flag wins.
+func TestRunSpecLocalMatchesDaemon(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
+	doc := `{"name": "cli-vs-daemon", "axes": [{"name": "boards", "kind": "integer", "min": 2, "max": 3}], "budget": "smoke"}`
+	if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := service.New(service.Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(service.NewHandler(m))
+	defer srv.Close()
+
+	for _, c := range []struct {
+		name   string
+		flags  []string
+		budget string
+	}{
+		{"spec budget", nil, "smoke"},
+		{"flag budget", []string{"-budget", "analytic"}, "analytic"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			local, remote := filepath.Join(dir, "local.json"), filepath.Join(dir, "remote.ndjson")
+			args := slices.Concat([]string{"-spec", specPath, "-seed", "4", "-workers", "2"}, c.flags)
+			if err := run(slices.Concat(args, []string{"-out", local})); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(slices.Concat(args, []string{"-daemon", srv.URL, "-out", remote})); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res struct {
+				Budget  string            `json:"budget"`
+				Records []json.RawMessage `json:"records"`
+			}
+			if err := json.Unmarshal(raw, &res); err != nil {
+				t.Fatal(err)
+			}
+			page := m.ListPage(service.ListQuery{})
+			job := page.Jobs[len(page.Jobs)-1]
+			if res.Budget != c.budget || job.Budget != c.budget {
+				t.Errorf("budget: local %q, daemon %q, want %q", res.Budget, job.Budget, c.budget)
+			}
+			lines, err := os.ReadFile(remote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Split(strings.TrimSuffix(string(lines), "\n"), "\n")
+			if len(got) != len(res.Records) || len(got) != 2 {
+				t.Fatalf("daemon streamed %d records, local run wrote %d, want 2", len(got), len(res.Records))
+			}
+			for i, rec := range res.Records {
+				var want bytes.Buffer
+				if err := json.Compact(&want, rec); err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want.String() {
+					t.Errorf("record %d:\n daemon %s\n local  %s", i, got[i], want.String())
+				}
+			}
+		})
 	}
 }

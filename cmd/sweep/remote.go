@@ -1,11 +1,13 @@
 package main
 
-// The remote subcommands — sweep trace, sweep fleet — read a running
-// sweepd's observability endpoints, so an operator can ask "where did
-// that job's wall time go" and "which workers are pulling their
-// weight" without leaving the CLI.
+// The remote side of the CLI: 'sweep run -daemon' submits its request
+// to a running sweepd and streams the records back, and sweep trace and
+// sweep fleet read the daemon's observability endpoints, so an operator
+// can ask "where did that job's wall time go" and "which workers are
+// pulling their weight" without leaving the CLI.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,8 +18,83 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fsio"
 	"repro/internal/service"
 )
+
+// submitAndStream runs one job on a remote sweepd: submit, poll to a
+// terminal state, then fetch the record stream (written to outPath when
+// given). The records are byte-identical to a local run at the same
+// seed and budget — the daemon and its workers share the engine.
+func submitAndStream(base string, req service.Request, outPath string, timeout time.Duration) error {
+	base = strings.TrimRight(base, "/")
+	hc := &http.Client{Timeout: 60 * time.Second}
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	var v service.JobView
+	if resp.StatusCode != http.StatusAccepted {
+		defer resp.Body.Close()
+		return remoteError("submit", resp)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("submit: decoding response: %w", err)
+	}
+	what := v.Scenario
+	if v.Spec != "" {
+		what = fmt.Sprintf("%s (spec %q)", v.Scenario, v.Spec)
+	}
+	fmt.Printf("job %s accepted: %s %s, budget %s, seed %d\n", v.ID, v.Kind, what, v.Budget, v.Seed)
+
+	deadline := time.Time{}
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	for !v.State.Terminal() {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return fmt.Errorf("job %s still %s after %s (poll it with: sweep trace -daemon %s %s)",
+				v.ID, v.State, timeout, base, v.ID)
+		}
+		time.Sleep(500 * time.Millisecond)
+		if err := getJSONInto(base+"/api/v1/jobs/"+v.ID, &v); err != nil {
+			return err
+		}
+	}
+	if v.State != service.StateDone {
+		return fmt.Errorf("job %s ended %s: %s", v.ID, v.State, v.Error)
+	}
+	fmt.Printf("job %s done: %d points (%d cached, %d computed)\n",
+		v.ID, v.Progress.Total, v.Progress.Cached, v.Progress.Total-v.Progress.Cached)
+
+	recResp, err := hc.Get(base + "/api/v1/jobs/" + v.ID + "/records")
+	if err != nil {
+		return err
+	}
+	defer recResp.Body.Close()
+	if recResp.StatusCode != http.StatusOK {
+		return remoteError("records", recResp)
+	}
+	if outPath == "" || outPath == "-" {
+		_, err = io.Copy(os.Stdout, recResp.Body)
+		return err
+	}
+	if err := fsio.WriteFileAtomic(outPath, func(f *os.File) error {
+		_, err := io.Copy(f, recResp.Body)
+		return err
+	}); err != nil {
+		return err
+	}
+	fmt.Println("wrote", outPath)
+	return nil
+}
 
 // traceCmd implements 'sweep trace [-daemon URL] [-raw] <job-id>':
 // the job's derived phase timeline, or with -raw the span NDJSON

@@ -624,9 +624,3 @@ func (d *Design) Report() string {
 	}
 	return sb.String()
 }
-
-// PathlossModelForSpec returns the measured-channel pathloss model used
-// by the design, for callers that want raw channel numbers.
-func PathlossModelForSpec(spec SystemSpec) channel.Pathloss {
-	return channel.NewFreespacePathloss(232.5e9, 0.1)
-}

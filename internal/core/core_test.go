@@ -208,10 +208,3 @@ func TestTotalNodes(t *testing.T) {
 		t.Errorf("total nodes = %d, want 36", d.TotalNodes())
 	}
 }
-
-func TestPathlossModelForSpec(t *testing.T) {
-	pl := PathlossModelForSpec(DefaultSpec())
-	if math.Abs(pl.LossDB(0.1)-59.8) > 0.1 {
-		t.Errorf("pathloss anchor = %g, want 59.8", pl.LossDB(0.1))
-	}
-}

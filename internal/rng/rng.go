@@ -78,9 +78,6 @@ func (s *Stream) Intn(n int) int { return s.src().Intn(n) }
 // Uint64 returns a uniform 64-bit value.
 func (s *Stream) Uint64() uint64 { return s.src().Uint64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.src().Perm(n) }
-
 // Norm returns a standard normal deviate via Box-Muller with caching.
 func (s *Stream) Norm() float64 {
 	if s.hasSpare {
@@ -103,19 +100,6 @@ func (s *Stream) Norm() float64 {
 	return u * f
 }
 
-// NormScaled returns a normal deviate with the given mean and standard
-// deviation.
-func (s *Stream) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*s.Norm()
-}
-
-// FillNorm fills dst with i.i.d. N(0, stddev^2) deviates.
-func (s *Stream) FillNorm(dst []float64, stddev float64) {
-	for i := range dst {
-		dst[i] = stddev * s.Norm()
-	}
-}
-
 // Exp returns an exponential deviate with the given rate (mean 1/rate).
 // It panics on a non-positive rate.
 func (s *Stream) Exp(rate float64) float64 {
@@ -133,7 +117,7 @@ func (s *Stream) Poisson(mean float64) int {
 		return 0
 	}
 	if mean > 500 {
-		v := math.Round(s.NormScaled(mean, math.Sqrt(mean)))
+		v := math.Round(mean + math.Sqrt(mean)*s.Norm())
 		if v < 0 {
 			return 0
 		}

@@ -78,31 +78,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestNormScaled(t *testing.T) {
-	s := New(5)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.NormScaled(3, 0.5)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.02 {
-		t.Errorf("NormScaled mean = %g, want ~3", mean)
-	}
-}
-
-func TestFillNorm(t *testing.T) {
-	s := New(6)
-	buf := make([]float64, 50000)
-	s.FillNorm(buf, 2)
-	var sumSq float64
-	for _, x := range buf {
-		sumSq += x * x
-	}
-	if v := sumSq / float64(len(buf)); math.Abs(v-4) > 0.2 {
-		t.Errorf("FillNorm variance = %g, want ~4", v)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	s := New(8)
 	const n = 100000
@@ -157,7 +132,7 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestIntnAndPermCoverRange(t *testing.T) {
+func TestIntnCoversRange(t *testing.T) {
 	s := New(3)
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
@@ -169,13 +144,5 @@ func TestIntnAndPermCoverRange(t *testing.T) {
 	}
 	if len(seen) != 10 {
 		t.Errorf("Intn(10) covered only %d values", len(seen))
-	}
-	p := s.Perm(16)
-	mark := make([]bool, 16)
-	for _, v := range p {
-		if mark[v] {
-			t.Fatalf("Perm repeated %d", v)
-		}
-		mark[v] = true
 	}
 }

@@ -432,7 +432,7 @@ func (d *dispatcher) take(worker string) (Lease, bool, <-chan struct{}, time.Dur
 			ID:         id,
 			JobID:      j.id,
 			Scenario:   j.scenarioName,
-			Budget:     j.budget.Name,
+			Budget:     j.plan.Budget.Name,
 			Seed:       j.req.Seed,
 			Start:      t.chunk.Start,
 			End:        t.chunk.End,

@@ -764,16 +764,12 @@ func TestRemoteWorkerStopsInsideHeldLease(t *testing.T) {
 	}
 }
 
-// idleAPI is a WorkerAPI that never has work. Each Lease call is
-// counted and answers "no work" after hold, which is zero for a daemon
-// that does not hold requests.
-type idleAPI struct {
-	hold  time.Duration
-	calls atomic.Int64
-}
+// idleAPI is a WorkerAPI that never has work. Each Lease call answers
+// "no work" after hold, which is zero for a daemon that does not hold
+// requests.
+type idleAPI struct{ hold time.Duration }
 
 func (a *idleAPI) Lease(string) (Lease, bool, error) {
-	a.calls.Add(1)
 	time.Sleep(a.hold)
 	return Lease{}, false, nil
 }
@@ -783,35 +779,43 @@ func (a *idleAPI) FailLease(string, string) error          { return ErrLeaseGone
 
 // TestRunWorkerPacesEmptyLeases: an empty lease is followed by the rest
 // of the poll interval, never a full one on top of the daemon's hold.
-// Against a daemon that answers at once the worker still polls every
-// Poll rather than spinning; against a holding daemon it asks again
-// right away.
+// Against a daemon that answers at once the worker waits out what is
+// left of Poll rather than spinning; against a daemon that held the
+// request for a whole Poll it asks again right away. The worker's waits
+// are recorded, not slept, so the check does not depend on how promptly
+// the scheduler runs it.
 func TestRunWorkerPacesEmptyLeases(t *testing.T) {
-	const (
-		poll   = 25 * time.Millisecond
-		window = 250 * time.Millisecond
-	)
-	// Both daemons run side by side for one window.
-	instant, holding := &idleAPI{}, &idleAPI{hold: poll}
-	ctx, cancel := context.WithTimeout(context.Background(), window)
-	defer cancel()
-	errs := make(chan error, 2)
-	for _, api := range []*idleAPI{instant, holding} {
-		go func() { errs <- RunWorker(ctx, api, WorkerOptions{Name: "idle", Poll: poll}) }()
+	orig := sleep
+	defer func() { sleep = orig }()
+	waits := func(api WorkerAPI, poll time.Duration) []time.Duration {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var asked []time.Duration
+		sleep = func(_ context.Context, d time.Duration) bool {
+			if asked = append(asked, d); len(asked) == 3 {
+				cancel()
+				return false
+			}
+			return true
+		}
+		if err := RunWorker(ctx, api, WorkerOptions{Name: "idle", Poll: poll}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunWorker = %v, want context.Canceled", err)
+		}
+		return asked
 	}
-	for range 2 {
-		if err := <-errs; !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("RunWorker = %v, want the window's deadline", err)
+	// Poll is long enough that an instant answer always leaves some of
+	// it to wait, whatever the scheduler does.
+	const poll = time.Hour
+	for _, d := range waits(&idleAPI{}, poll) {
+		if d <= 0 || d > poll {
+			t.Fatalf("after an instant empty lease the worker waited %v, want the rest of Poll, in (0, %v]", d, poll)
 		}
 	}
-	limit := int64((window+poll-1)/poll) + 1
-	if n := instant.calls.Load(); n > limit || n < 2 {
-		t.Fatalf("instant-empty daemon got %d lease calls in %v at poll %v, want 2..%d", n, window, poll, limit)
-	}
-	// Holding each request for a full Poll and then sleeping another
-	// Poll would allow at most window/(2*poll)+1 calls.
-	if n, slept := holding.calls.Load(), int64(window/(2*poll))+1; n <= slept {
-		t.Fatalf("holding daemon got %d lease calls in %v, want about %d (no sleep after a held request)", n, window, limit-1)
+	const hold = 5 * time.Millisecond
+	for _, d := range waits(&idleAPI{hold: hold}, hold) {
+		if d > 0 {
+			t.Fatalf("after a lease held for Poll (%v) the worker waited %v more, want none", hold, d)
+		}
 	}
 }
 

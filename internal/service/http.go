@@ -114,8 +114,12 @@ func NewHandler(m *Manager) http.Handler {
 	instrument(mux, hm, rt, "GET /api/v1/spaces", handleSpaces)
 	instrument(mux, hm, rt, "GET /api/v1/knobs", handleKnobs)
 	instrument(mux, hm, rt, "POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Strict like the inline spec: a misspelt field is an error,
+		// not a silently defaulted one.
 		var req Request
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("invalid request body: %w", err), nil)
 			return

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/sweep/store"
 )
@@ -135,38 +134,26 @@ type JobView struct {
 
 // job is the manager's mutable record of one submission.
 type job struct {
-	id       string
-	seq      uint64
-	kind     string
-	req      Request
-	scenario sweep.Scenario
-	budget   sweep.Budget
+	id  string
+	seq uint64
+	req Request
+	// plan is the resolved request: kind, budget, feasibility and the
+	// grid or normalized search options (Evaluate and OnGeneration are
+	// filled in at run time). Immutable after Submit.
+	plan Plan
 	// pts is a sweep's grid (nil for optimizations). It is released when
 	// the job reaches a terminal state, so retained jobs keep only their
 	// result; written under mu, read by execute once the job runs.
 	pts   []sweep.Point
 	total int
-	// scenarioName is the scenario string in records, leases and cache
-	// keys: the grid scenario's name for sweeps, "optimize/<space>" for
-	// optimizations.
+	// scenarioName is plan.ScenarioName(), the scenario string in
+	// records, leases and cache keys.
 	scenarioName string
 	// keyer computes the job's cache keys; (scenario, budget, seed) are
 	// fixed per job, so the key envelope renders once. Set after
 	// scenarioName, read concurrently by the dispatcher's cache
 	// pre-pass and chunk completions (Keyer is immutable).
 	keyer *sweep.Keyer
-	// searchOpts holds the normalized optimization parameters
-	// (kind "optimize"); Evaluate and OnGeneration are filled in at run
-	// time.
-	searchOpts search.Options
-	// specName is the user-chosen name of the submitted spec document,
-	// "" for registry jobs. Display only — the grid identity is
-	// scenarioName's content hash.
-	specName string
-	// feasible is the spec's constraint conjunction (nil = admit every
-	// Err-free record). It shapes Pareto marking and optimizer ranking at
-	// assembly time only, never record bytes or cache keys.
-	feasible func(sweep.Record) bool
 	// traceID and rootSpanID are minted at Submit when the manager has
 	// a trace collector ("" otherwise) and never change, so they are
 	// readable without j.mu: traceID names the job's distributed trace
@@ -221,9 +208,9 @@ func (j *job) view() JobView {
 	done := int(j.done.Load())
 	v := JobView{
 		ID:          j.id,
-		Kind:        j.kind,
-		Spec:        j.specName,
-		Budget:      j.budget.Name,
+		Kind:        j.plan.Kind,
+		Spec:        j.plan.SpecName,
+		Budget:      j.plan.Budget.Name,
 		Seed:        j.req.Seed,
 		Priority:    j.req.Priority,
 		State:       j.state,
@@ -236,16 +223,16 @@ func (j *job) view() JobView {
 			Pending: j.total - done,
 		},
 	}
-	if j.kind == KindSweep {
+	if j.plan.Kind == KindSweep {
 		v.Scenario = j.scenarioName
 	}
-	if j.kind == KindOptimize {
-		v.Space = j.searchOpts.Space.Name
-		for _, o := range j.searchOpts.Objectives {
+	if j.plan.Kind == KindOptimize {
+		v.Space = j.plan.Search.Space.Name
+		for _, o := range j.plan.Search.Objectives {
 			v.Objectives = append(v.Objectives, o.Name)
 		}
-		v.Generations = j.searchOpts.Generations
-		v.Population = j.searchOpts.Population
+		v.Generations = j.plan.Search.Generations
+		v.Population = j.plan.Search.Population
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -429,107 +416,21 @@ func New(opts Options) *Manager {
 	return m
 }
 
-// Submit validates the request, enqueues a job and returns its snapshot.
+// Submit resolves the request (see Resolve), enqueues a job and
+// returns its snapshot.
 func (m *Manager) Submit(req Request) (JobView, error) {
-	kind := req.Kind
-	if kind == "" {
-		kind = KindSweep
-	}
-	// An inline spec is parsed (strictly: unknown fields are submission
-	// errors) and validated before anything is queued, so a bad document
-	// fails fast with the spec package's actionable message.
-	var userSpec *spec.Spec
-	if len(req.Spec) > 0 {
-		if req.Scenario != "" || req.Space != "" {
-			return JobView{}, fmt.Errorf("%w: an inline spec must not also name a registered scenario or space", ErrBadRequest)
-		}
-		sp, err := spec.Parse(req.Spec)
-		if err != nil {
-			return JobView{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		userSpec = sp
-	}
-	// The request's budget wins when set; a spec submission without one
-	// runs at the spec's own budget (default analytic).
-	budgetName := req.Budget
-	if budgetName == "" && userSpec != nil {
-		budgetName = userSpec.Budget
-	}
-	budget, err := sweep.ParseBudget(budgetName)
+	plan, err := Resolve(req)
 	if err != nil {
-		return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return JobView{}, err
 	}
-	j := &job{kind: kind, req: req, budget: budget, state: StateQueued, changed: make(chan struct{})}
-	if userSpec != nil {
-		j.specName = userSpec.Name
-	}
-	switch kind {
-	case KindSweep:
-		var sc sweep.Scenario
-		if userSpec != nil {
-			compiled, err := userSpec.Compile()
-			if err != nil {
-				return JobView{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-			sc = compiled.Scenario
-			j.feasible = compiled.Feasible
-		} else {
-			sc, err = sweep.Get(req.Scenario)
-			if err != nil {
-				return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-		}
-		j.pts = sc.Points()
-		j.scenario = sc
-		j.scenarioName = sc.Name
+	j := &job{plan: plan, req: req, scenarioName: plan.ScenarioName(), state: StateQueued, changed: make(chan struct{})}
+	if plan.Kind == KindSweep {
+		j.pts = plan.Scenario.Points()
 		j.total = len(j.pts)
-	case KindOptimize:
-		var sp search.Space
-		var objs []search.Objective
-		if userSpec != nil {
-			sp, err = userSpec.Space()
-			if err != nil {
-				return JobView{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-			j.feasible, err = userSpec.FeasibleFunc()
-			if err != nil {
-				return JobView{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-			if len(req.Objectives) > 0 {
-				objs, err = search.ParseObjectives(req.Objectives)
-			} else {
-				objs, err = userSpec.SearchObjectives()
-			}
-		} else {
-			sp, err = search.Get(req.Space)
-			if err != nil {
-				return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-			objs, err = search.ParseObjectives(req.Objectives)
-		}
-		if err != nil {
-			return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		opts := search.Options{
-			Space:       sp,
-			Objectives:  objs,
-			Seed:        req.Seed,
-			Generations: req.Generations,
-			Population:  req.Population,
-			Budget:      budget,
-			Workers:     req.Workers,
-			Feasible:    j.feasible,
-		}
-		if err := opts.Normalize(); err != nil {
-			return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		j.searchOpts = opts
-		j.scenarioName = sp.ScenarioName()
-		j.total = opts.Generations * opts.Population
-	default:
-		return JobView{}, fmt.Errorf("%w: unknown job kind %q (sweep|optimize)", ErrBadRequest, req.Kind)
+	} else {
+		j.total = plan.Search.Generations * plan.Search.Population
 	}
-	j.keyer = sweep.NewKeyer(j.scenarioName, j.budget, req.Seed)
+	j.keyer = sweep.NewKeyer(j.scenarioName, plan.Budget, req.Seed)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -548,10 +449,10 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 	m.evictLocked()
 	m.queue.push(j)
 	m.cond.Signal()
-	m.met.jobsSubmitted.With(kind).Inc()
+	m.met.jobsSubmitted.With(plan.Kind).Inc()
 	m.log.Info("job submitted",
-		"job_id", j.id, "kind", kind, "scenario", j.scenarioName,
-		"budget", j.budget.Name, "seed", req.Seed, "priority", req.Priority,
+		"job_id", j.id, "kind", plan.Kind, "scenario", j.scenarioName,
+		"budget", plan.Budget.Name, "seed", req.Seed, "priority", req.Priority,
 		"points", j.total)
 	return j.view(), nil
 }
@@ -584,9 +485,9 @@ func (m *Manager) InFlight() (queued, running int) {
 // job that just reached a terminal state. Called with j.mu held.
 func (m *Manager) noteFinishedLocked(j *job) {
 	j.changedLocked()
-	m.met.jobFinished(j.kind, j.state, j.started, j.finished)
+	m.met.jobFinished(j.plan.Kind, j.state, j.started, j.finished)
 	attrs := []any{
-		"job_id", j.id, "kind", j.kind, "scenario", j.scenarioName,
+		"job_id", j.id, "kind", j.plan.Kind, "scenario", j.scenarioName,
 		"state", string(j.state),
 		"points_done", j.done.Load(), "points_cached", j.cached.Load(),
 	}
@@ -607,7 +508,7 @@ func (m *Manager) noteFinishedLocked(j *job) {
 			JobID:   j.id,
 			Start:   j.submitted,
 			End:     j.finished,
-			Attrs:   map[string]string{"kind": j.kind, "state": string(j.state)},
+			Attrs:   map[string]string{"kind": j.plan.Kind, "state": string(j.state)},
 		})
 	}
 }
@@ -686,21 +587,6 @@ func (m *Manager) StoreStats() (total store.Stats, shards []store.Stats, ok bool
 	}
 	total, shards = m.opts.StoreStats()
 	return total, shards, true
-}
-
-// List returns snapshots of every job in submission order.
-func (m *Manager) List() []JobView {
-	m.mu.Lock()
-	js := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		js = append(js, m.jobs[id])
-	}
-	m.mu.Unlock()
-	out := make([]JobView, len(js))
-	for i, j := range js {
-		out[i] = j.view()
-	}
-	return out
 }
 
 // maxListLimit caps one page of the jobs listing; requests asking for
@@ -895,7 +781,7 @@ func (m *Manager) execute(j *job) {
 	started, submitted, pts := j.started, j.submitted, j.pts
 	j.mu.Unlock()
 	defer cancel()
-	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
+	m.log.Info("job started", "job_id", j.id, "kind", j.plan.Kind, "scenario", j.scenarioName)
 	m.recordPhase(j, "queued", submitted, started, nil)
 
 	// Each batch is one phase span: dispatch (leased and evaluated by
@@ -938,7 +824,7 @@ func (m *Manager) execute(j *job) {
 				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
 			}
 		}()
-		if j.kind == KindOptimize {
+		if j.plan.Kind == KindOptimize {
 			return m.optimize(ctx, j, evaluate)
 		}
 		recs, cached, err := evaluate(ctx, pts)
@@ -947,14 +833,14 @@ func (m *Manager) execute(j *job) {
 		}
 		res = &sweep.Result{
 			Scenario:       j.scenarioName,
-			Description:    j.scenario.Description,
+			Description:    j.plan.Scenario.Description,
 			Seed:           j.req.Seed,
-			Budget:         j.budget.Name,
+			Budget:         j.plan.Budget.Name,
 			Records:        recs,
 			CachedPoints:   cached,
 			ComputedPoints: len(recs) - cached,
 		}
-		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.feasible)
+		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.plan.Feasible)
 		return res, nil
 	}()
 	if m.dispatch != nil {
@@ -989,7 +875,7 @@ func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Poi
 	return sweep.EvaluatePoints(ctx, j.scenarioName, pts, sweep.Config{
 		Workers: j.req.Workers,
 		Seed:    j.req.Seed,
-		Budget:  j.budget,
+		Budget:  j.plan.Budget,
 		Cache:   m.opts.Cache,
 		OnPoint: func(_ int, cached bool) {
 			j.done.Add(1)
@@ -1006,7 +892,7 @@ func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Poi
 // is a pure function of the request whichever evaluator serves the
 // batches, so in-process and fleet deployments answer byte-identically.
 func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Context, []sweep.Point) ([]sweep.Record, int, error)) (*sweep.Result, error) {
-	opts := j.searchOpts
+	opts := j.plan.Search
 	opts.OnGeneration = j.appendGeneration
 	opts.Evaluate = func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
 		return evaluate(ctx, pts)

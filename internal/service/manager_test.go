@@ -249,7 +249,7 @@ func TestRetainJobsEvictsOldestTerminal(t *testing.T) {
 		waitState(t, m, v.ID, StateDone)
 		ids = append(ids, v.ID)
 	}
-	if got := len(m.List()); got > 2 {
+	if got := len(m.ListPage(ListQuery{}).Jobs); got > 2 {
 		t.Fatalf("job table holds %d jobs, cap is 2", got)
 	}
 	if _, err := m.Get(ids[0]); err == nil {

@@ -152,7 +152,7 @@ func TestSubmitRejectsOversizedOptimize(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
 		t.Fatalf("oversized optimize over HTTP = %d %q, want 400 bad_request", resp.StatusCode, env.Error.Code)
 	}
-	if n := len(m.List()); n != 0 {
+	if n := len(m.ListPage(ListQuery{}).Jobs); n != 0 {
 		t.Fatalf("%d jobs registered after rejected submissions", n)
 	}
 }

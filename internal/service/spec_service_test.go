@@ -230,12 +230,19 @@ func TestErrorEnvelope(t *testing.T) {
 				c.name, e.Status, e.Code, e.Message, c.status, c.code)
 		}
 	}
+	// A misspelt request field is rejected by name instead of silently
+	// running the job at the analytic budget.
+	e := apiErrorOf(t, "POST", srv.URL+"/api/v1/jobs", `{"scenario":"manycore","budegt":"smoke"}`)
+	if e.Status != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Message, `"budegt"`) {
+		t.Errorf("unknown request field: got (%d, %s) %q, want (400, %s) naming \"budegt\"",
+			e.Status, e.Code, e.Message, CodeBadRequest)
+	}
 
 	// After shutdown the daemon refuses writes with the shutdown code.
 	if err := m.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	e := apiErrorOf(t, "POST", srv.URL+"/api/v1/jobs", `{"scenario":"paper-baseline"}`)
+	e = apiErrorOf(t, "POST", srv.URL+"/api/v1/jobs", `{"scenario":"paper-baseline"}`)
 	if e.Status != http.StatusServiceUnavailable || e.Code != CodeShutdown {
 		t.Errorf("post-shutdown submit: got (%d, %s), want (503, %s)", e.Status, e.Code, CodeShutdown)
 	}

@@ -137,7 +137,7 @@ func TestGenerationsStreamWakesOnChange(t *testing.T) {
 	m := New(Options{JobWorkers: 1})
 	defer m.Shutdown(context.Background())
 	h := NewHandler(m)
-	j := &job{id: "job-gens", kind: KindOptimize, state: StateRunning, changed: make(chan struct{})}
+	j := &job{id: "job-gens", plan: Plan{Kind: KindOptimize}, state: StateRunning, changed: make(chan struct{})}
 	m.mu.Lock()
 	m.jobs[j.id] = j
 	m.mu.Unlock()

@@ -293,8 +293,9 @@ func completeWithRetry(ctx context.Context, api WorkerAPI, leaseID string, recs 
 }
 
 // sleep waits d or until ctx is cancelled, reporting whether the full
-// duration elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
+// duration elapsed. Every wait of RunWorker goes through it, so tests
+// can check the durations a worker asks for instead of timing it.
+var sleep = func(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

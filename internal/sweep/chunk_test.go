@@ -67,7 +67,7 @@ func TestEvaluatePointsChunksMatchRun(t *testing.T) {
 			merged = append(merged, recs...)
 		}
 		// Chunk records carry Pareto unset; the merger marks the front.
-		MarkPareto(merged)
+		MarkParetoFeasible(merged, nil)
 		a, _ := json.Marshal(full.Records)
 		b, _ := json.Marshal(merged)
 		if string(a) != string(b) {

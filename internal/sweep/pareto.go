@@ -14,17 +14,11 @@ func dominates(a, b Record) bool {
 		a.NoCSaturation > b.NoCSaturation
 }
 
-// MarkPareto sets the Pareto flag on every non-dominated feasible
-// record and returns their indices in record order. Infeasible records
-// (Err set) never join the front.
-func MarkPareto(recs []Record) []int {
-	return MarkParetoFeasible(recs, nil)
-}
-
-// MarkParetoFeasible is MarkPareto under an extra feasibility
-// predicate (user spec constraints): records failing it neither join
-// nor dominate the front, exactly like records with Err set. A nil
-// predicate admits every Err-free record. The predicate only shapes
+// MarkParetoFeasible sets the Pareto flag on every non-dominated
+// feasible record and returns their indices in record order. A record
+// is feasible when its Err is empty and it passes the feasibility
+// predicate (user spec constraints; nil admits every Err-free record).
+// Infeasible records neither join nor dominate the front. The predicate only shapes
 // this job-level marking pass — record metric bytes are untouched, so
 // the point cache stays shared across specs that differ only in their
 // constraints.

@@ -230,7 +230,7 @@ func TestMarkParetoDominance(t *testing.T) {
 		{TxPowerDBm: 10, DecodeLatencyBits: 100, NoCSaturation: 0.4}, // trade
 		{Err: "infeasible", TxPowerDBm: 0, DecodeLatencyBits: 0},     // excluded
 	}
-	front := MarkPareto(recs)
+	front := MarkParetoFeasible(recs, nil)
 	want := []int{0, 2}
 	if len(front) != len(want) || front[0] != want[0] || front[1] != want[1] {
 		t.Fatalf("front = %v, want %v", front, want)
@@ -267,7 +267,7 @@ func TestMarkParetoEdgeCases(t *testing.T) {
 	// or NaN metrics look.
 	want := []int{0, 2, 3, 5}
 	for trial := 0; trial < 3; trial++ {
-		front := MarkPareto(recs)
+		front := MarkParetoFeasible(recs, nil)
 		if len(front) != len(want) {
 			t.Fatalf("trial %d: front = %v, want %v", trial, front, want)
 		}
