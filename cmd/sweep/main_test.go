@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/search"
 	"repro/internal/service"
@@ -110,6 +112,82 @@ func TestOptimizeWritesOutputs(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(csvRaw)), "\n")
 	if len(lines) != 1+8 {
 		t.Fatalf("CSV has %d lines, want header + 8 rows", len(lines))
+	}
+}
+
+// TestRunSmokeSpecLocalMatchesFleet is the Monte-Carlo twin of
+// TestRunSpecLocalMatchesDaemon: a smoke spec whose two codes and one
+// stack are shared across its points runs locally and through a
+// distributed sweepd whose two HTTP workers split it into chunks that
+// cut across those sharings. Each chunk simulates its sub-models on
+// its own, so the records agree only if every sub-model seeds from the
+// job seed and its content, never from a point or a chunk.
+func TestRunSmokeSpecLocalMatchesFleet(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
+	doc := `{"name": "cli-vs-fleet", "axes": [
+		{"name": "latency-budget-bits", "kind": "enum", "values": [100, 150]},
+		{"name": "boards", "kind": "integer", "min": 2, "max": 3}], "budget": "smoke"}`
+	if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := service.New(service.Options{JobWorkers: 1, Distributed: true, ChunkPoints: 3, LeaseTTL: time.Minute})
+	srv := httptest.NewServer(service.NewHandler(m))
+	defer srv.Close()
+	wctx, stopWorkers := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, name := range []string{"w1", "w2"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			service.RunWorker(wctx, service.NewClient(srv.URL), service.WorkerOptions{
+				Name: name, Poll: 5 * time.Millisecond, Workers: 1,
+			})
+		}()
+	}
+	defer func() {
+		m.Shutdown(context.Background())
+		stopWorkers()
+		wg.Wait()
+	}()
+
+	local, remote := filepath.Join(dir, "local.json"), filepath.Join(dir, "remote.ndjson")
+	args := []string{"-spec", specPath, "-seed", "6", "-workers", "2"}
+	if err := run(slices.Concat(args, []string{"-out", local})); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(slices.Concat(args, []string{"-daemon", srv.URL, "-out", remote})); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Records []json.RawMessage `json:"records"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(lines), "\n"), "\n")
+	if len(got) != len(res.Records) || len(got) != 4 {
+		t.Fatalf("fleet streamed %d records, local run wrote %d, want 4", len(got), len(res.Records))
+	}
+	for i, rec := range res.Records {
+		var want bytes.Buffer
+		if err := json.Compact(&want, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want.String() {
+			t.Errorf("record %d:\n fleet %s\n local %s", i, got[i], want.String())
+		}
+		if !strings.Contains(got[i], `"ber_codewords":`) {
+			t.Errorf("record %d carries no BER measurement: %s", i, got[i])
+		}
 	}
 }
 

@@ -9,16 +9,16 @@
 //	sweepworker -daemon http://host:8080 [-name id] [-poll 500ms] [-workers N]
 //
 // Scale-out is a deployment knob, not a correctness one: because every
-// point's random sub-stream is a pure function of (sweep seed, point
-// index), an N-worker fleet produces records byte-identical to a
-// single-node run. Workers hold no state — killing one mid-chunk only
+// Monte-Carlo sub-model's stream is a pure function of (sweep seed,
+// sub-model content), an N-worker fleet produces records byte-identical
+// to a single-node run. Workers hold no state — killing one mid-chunk only
 // delays that chunk until its lease expires and another worker (or a
 // restarted one) picks it up.
 //
 // Workers serve every job kind without configuration: each lease
 // carries its design points — a slice of a registered or spec-defined
 // grid, or an optimizer generation's bred individuals — each with the
-// global index that keys its sub-stream and cache address. A worker
+// global index that keys its cache address. A worker
 // never resolves a scenario name or compiles a spec.
 //
 // Tracing rides along for free: a lease from a tracing daemon carries

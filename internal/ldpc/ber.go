@@ -47,8 +47,9 @@ type BERParams struct {
 	// (from the per-frame bit-error variance, since window-decoded
 	// errors burst per frame) falls below RelCI times the estimate,
 	// and the fixed error targets are ignored (MaxCodewords still
-	// caps the spend). The check runs at fixed batch boundaries, so
-	// the stopping point does not depend on Workers.
+	// caps the spend, and a run without frame errors spends all of
+	// it). The check runs at fixed batch boundaries, so the stopping
+	// point does not depend on Workers.
 	RelCI float64
 	// DecisiveBER, when positive, stops the simulation early once the
 	// 95% confidence interval of the BER estimate lies entirely above
@@ -243,13 +244,13 @@ func berDone(p BERParams, res BERResult, errsSumSq float64) bool {
 		// the fixed error targets are ignored (MaxCodewords still caps
 		// the spend) — otherwise the legacy targets would always fire
 		// first and the requested precision would never be delivered.
+		// Only this rule stops a run early. A clean first stretch does
+		// not: it is common for a code whose frame-error rate is a few
+		// percent (64 clean frames at 6.6% FER is 1 run in 80), and
+		// stopping there would report BER 0. A run that never errs
+		// spends the whole MaxCodewords, so a reported 0 means no error
+		// in that many frames.
 		if res.FrameErrors >= minAdaptiveFrameErrors && ber > 0 && hw <= p.RelCI*ber {
-			return true
-		}
-		// Error-free early out: after a quarter of the budget with zero
-		// error frames, the remaining spend cannot produce the error
-		// events the CI rule needs — report BER ~ 0 and stop.
-		if res.FrameErrors == 0 && res.Codewords >= (p.MaxCodewords+3)/4 {
 			return true
 		}
 	} else if res.BitErrors >= p.TargetBitErrors && res.FrameErrors >= p.TargetFrameErrors {

@@ -75,6 +75,28 @@ func TestSimulateBERWindowPath(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCleanStartSpendsBudget pins the adaptive rule's handling
+// of an error-free first stretch. At the sweep's smoke operating point
+// the (25, 6) code's frame-error rate is a few percent, and under seed
+// 86 its first 64 frames are clean; the run must go on and find the
+// errors instead of stopping there with BER 0.
+func TestAdaptiveCleanStartSpendsBudget(t *testing.T) {
+	code := LiftConvolutional(PaperSpreading(), 16, 25, 3)
+	p := BERParams{
+		Code: code, Alg: SumProduct, MaxIter: 20, Window: 6, Rate: 0.5,
+		EbN0DB: 3, TargetBitErrors: 1 << 30, TargetFrameErrors: 1 << 30,
+		MaxCodewords: 64, Seed: 86, Workers: 1,
+	}
+	if r := SimulateBER(p); r.FrameErrors != 0 {
+		t.Fatalf("seed 86 no longer starts clean (%+v); pick a seed whose first 64 frames are error-free", r)
+	}
+	p.MaxCodewords, p.RelCI = 256, 0.3
+	r := SimulateBER(p)
+	if r.Codewords != p.MaxCodewords || r.FrameErrors == 0 || r.BER == 0 {
+		t.Errorf("adaptive run after a clean start = %+v, want all %d codewords and a nonzero BER", r, p.MaxCodewords)
+	}
+}
+
 func TestRequiredEbN0FindsThreshold(t *testing.T) {
 	code := Lift(Regular48(), 40, 3)
 	req := RequiredEbN0(SearchParams{

@@ -96,6 +96,7 @@ func TestCatalogComplete(t *testing.T) {
 		"store-reopen-cold",
 		"store-shard-fanout",
 		"sweep-analytic-cold",
+		"sweep-smoke-chunk",
 		"sweep-warm-store",
 		"tracing-overhead",
 	}

@@ -82,6 +82,7 @@ func init() {
 	register(nocCompileWide())
 	register(nocsimSmoke())
 	register(sweepAnalyticCold())
+	register(sweepSmokeChunk())
 	register(sweepWarmStore())
 	register(optimizePaperSpace())
 	register(serviceSubmitPoll())
@@ -293,6 +294,44 @@ func sweepAnalyticCold() Workload {
 				return 0, fmt.Errorf("empty Pareto front")
 			}
 			return float64(len(res.Records)), nil
+		},
+	}
+}
+
+// sweepSmokeChunk measures one smoke-budget evaluation chunk shaped
+// like the fleet benchmark's smoke spec grids: latency budget 100 or
+// 150 bits times butler on or off, four points over two codes and one
+// stack. EvaluatePoints runs each code's BER and the stack's
+// simulation once for the chunk, so the chunk costs two BER
+// measurements and one adaptive simulator validation, not four of each.
+func sweepSmokeChunk() Workload {
+	var pts []sweep.Point
+	for _, lat := range []int{100, 150} {
+		for _, butler := range []bool{true, false} {
+			spec := core.DefaultSpec()
+			spec.LatencyBudgetBits = lat
+			spec.Butler = butler
+			pts = append(pts, sweep.Point{Index: len(pts), Label: fmt.Sprintf("lat=%d butler=%t", lat, butler), Spec: spec})
+		}
+	}
+	return Workload{
+		Name:           "sweep-smoke-chunk",
+		MaxAllocsPerOp: 3000,
+		Description:    "smoke-budget EvaluatePoints over a 4-point chunk (latency 100/150 x butler): two BER measurements, one NoC simulation",
+		Units:          "points",
+		Run: func(ctx context.Context, seed uint64) (float64, error) {
+			recs, _, err := sweep.EvaluatePoints(ctx, "perf/smoke-chunk", pts, sweep.Config{
+				Workers: 1, Seed: seed, Budget: sweep.SmokeBudget(),
+			})
+			if err != nil {
+				return 0, err
+			}
+			for _, r := range recs {
+				if r.Err != "" || r.BERCodewords == 0 || r.SimReplications == 0 {
+					return 0, fmt.Errorf("point %d: %+v", r.Index, r)
+				}
+			}
+			return float64(len(recs)), nil
 		},
 	}
 }

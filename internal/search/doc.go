@@ -16,8 +16,9 @@
 // draws from an rng.Split sub-stream that is a pure function of the
 // root seed, the generation number and the individual index. Genome
 // construction happens on the coordinating goroutine; evaluation fans
-// out through sweep.EvaluatePoints, whose per-point sub-streams depend
-// only on (seed, global point index). The result is byte-identical
+// out through sweep.EvaluatePoints, whose Monte-Carlo sub-models draw
+// from streams that depend only on (seed, sub-model content), never on
+// which generation or chunk a point arrives in. The result is byte-identical
 // fronts for 1 worker, N goroutines, or a distributed worker fleet —
 // and because every evaluated individual flows through the same
 // sweep.PointKey content addressing as grid sweeps, a re-run against a

@@ -10,10 +10,9 @@ import (
 )
 
 // gaSplitTag separates the genetic operators' random branch from the
-// evaluator's per-point branch: point sub-streams are
-// rng.New(seed).Split(index+1) with small indices, the GA root is
-// rng.New(seed).Split(gaSplitTag) with a tag no evaluation count
-// reaches.
+// evaluator's: the GA root is rng.New(seed).Split(gaSplitTag), while
+// the evaluator's sub-model streams are rng.New(seed).Split(h) with h a
+// 64-bit content hash.
 const gaSplitTag = 0x6f7074_5f67_6100
 
 // MaxEvaluations caps Generations*Population: the most design points
@@ -26,8 +25,8 @@ const MaxEvaluations = 65536
 // records in slice order plus how many came from a cache. gen is the
 // generation number; every point arrives with a globally unique Index
 // (generation*population + position), which the evaluator must feed to
-// the engine unchanged — it keys both the point's random sub-stream and
-// its content address. The in-process default wraps
+// the engine unchanged — it keys the point's content address and the
+// optimizer's tie-breaks. The in-process default wraps
 // sweep.EvaluatePoints; the service's distributed mode chunks the
 // points over the worker fleet instead.
 type Evaluator func(ctx context.Context, gen int, pts []sweep.Point) (recs []sweep.Record, cached int, err error)
@@ -168,8 +167,8 @@ func (r *Result) Front() []sweep.Record {
 // function of (space, objectives, seed, generations, population,
 // budget): genomes are bred on the calling goroutine from split
 // sub-streams keyed by (seed, generation, individual), and evaluation —
-// however it is parallelised or distributed — keys each point's
-// sub-stream and cache address by its global index only.
+// however it is parallelised or distributed — keys each point's cache
+// address by its global index and its Monte-Carlo streams by content.
 func Optimize(ctx context.Context, opts Options) (*Result, error) {
 	if err := opts.Normalize(); err != nil {
 		return nil, err

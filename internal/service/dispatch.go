@@ -45,8 +45,7 @@ type Lease struct {
 	End   int `json:"end"`
 	// Points are the chunk's design points: a grid slice for sweeps,
 	// bred individuals for optimizer generations. Each point's Index is
-	// the global evaluation index that keys its random sub-stream and
-	// cache address.
+	// the global evaluation index that keys its cache address.
 	Points []sweep.Point `json:"points"`
 	// Engine is the daemon's sweep.EngineVersion; a worker built at a
 	// different version must not evaluate the chunk.

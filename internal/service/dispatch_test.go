@@ -247,7 +247,10 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	m := New(Options{
 		JobWorkers:  1,
 		Distributed: true,
-		ChunkPoints: 100, // one chunk per job
+		// Two chunks: while the second is out the job cannot end, and
+		// a job's end forgets its lease ids, so the duplicate completion
+		// of the first chunk meets a live job.
+		ChunkPoints: 4,
 		LeaseTTL:    time.Minute,
 	})
 	defer m.Shutdown(context.Background())
@@ -288,6 +291,15 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	}
 	if err := m.Complete(l.ID, recs); err != nil {
 		t.Fatalf("duplicate completion not idempotent: %v", err)
+	}
+	l2 := leaseEventually(t, m, "hand")
+	recs2, _, err := sweep.EvaluatePoints(context.Background(), l2.Scenario, l2.Points,
+		sweep.Config{Workers: 1, Seed: l2.Seed, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Complete(l2.ID, recs2); err != nil {
+		t.Fatalf("second chunk's completion: %v", err)
 	}
 	waitState(t, m, v.ID, StateDone)
 

@@ -79,7 +79,7 @@ type Request struct {
 	// Budget is the Monte-Carlo effort: analytic, smoke or standard
 	// (empty = analytic).
 	Budget string `json:"budget"`
-	// Seed roots the per-point deterministic sub-streams.
+	// Seed roots the deterministic Monte-Carlo sub-model streams.
 	Seed uint64 `json:"seed"`
 	// Priority orders the queue: higher runs first, ties FIFO.
 	Priority int `json:"priority"`

@@ -248,19 +248,19 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 func TestInProcessTraceTimeline(t *testing.T) {
 	m := New(Options{JobWorkers: 1, Trace: obs.NewCollector(256)})
 	defer m.Shutdown(context.Background())
-	// Coverage counts only spans: manycore's evaluations outweigh the
-	// untraced moments around them (job start, span bookkeeping, the
-	// optimizer's breeding between generations); a sub-millisecond job's
-	// would not.
-	sv, err := m.Submit(Request{Scenario: "manycore", Budget: "analytic", Seed: 3, Workers: 1})
+	// Coverage counts only spans, so each job's evaluation must outweigh
+	// the untraced moments around it (job start, span bookkeeping, the
+	// optimizer's breeding between generations) whatever process-global
+	// caches earlier tests warmed. Every point of this spec shares one
+	// code and one stack, so each evaluate batch runs one smoke-budget
+	// BER simulation: tens of milliseconds, never a cache hit.
+	oneCode := json.RawMessage(`{"name": "one-code", "base": {"latency-budget-bits": 75},
+		"axes": [{"name": "boards", "kind": "integer", "min": 2, "max": 5}], "budget": "smoke"}`)
+	sv, err := m.Submit(Request{Spec: oneCode, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oreq := optimizeReq(5)
-	oreq.Space = "manycore"
-	oreq.Population = 4
-	oreq.Workers = 1
-	ov, err := m.Submit(oreq)
+	ov, err := m.Submit(Request{Kind: KindOptimize, Spec: oneCode, Seed: 5, Generations: 3, Population: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (s *Spec) baseSpec() core.SystemSpec {
 
 // points enumerates the grid in axis-major order: the first axis is the
 // slowest-varying dimension. Point indices — and with them every
-// RNG sub-stream and cache key — follow from this order, which is why
+// label and cache key — follow from this order, which is why
 // axis order is part of the spec's canonical identity.
 func (s *Spec) points() ([]sweep.Point, error) {
 	base := s.baseSpec()

@@ -4,8 +4,8 @@ import "fmt"
 
 // Chunk is a half-open range [Start, End) of grid indices — the unit of
 // work a distributed sweep hands to one worker. Because every point's
-// random sub-stream is a pure function of (sweep seed, point index), a
-// chunk is independently evaluable: EvaluatePoints over
+// Monte-Carlo sub-models draw from streams that are a pure function of
+// (sweep seed, sub-model content), a chunk is independently evaluable: EvaluatePoints over
 // sc.Points()[c.Start:c.End] with the sweep's seed and budget, in any
 // process, reproduces exactly the records a single-node Run would have
 // produced for those indices.

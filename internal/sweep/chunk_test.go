@@ -41,37 +41,46 @@ func TestChunksPartition(t *testing.T) {
 // TestEvaluatePointsChunksMatchRun is the determinism contract of the
 // distributed tier: evaluating the grid's points chunk by chunk, for any
 // partition, and concatenating the records must reproduce a single-node
-// Run byte for byte.
+// Run byte for byte — under the analytic budget, and under a
+// Monte-Carlo one whose chunks each simulate the sub-models they share
+// on their own.
 func TestEvaluatePointsChunksMatchRun(t *testing.T) {
-	sc, err := Get("paper-baseline")
+	baseline, err := Get("paper-baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 2, Seed: 7, Budget: AnalyticBudget()}
-	full, err := Run(context.Background(), sc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pts := sc.Points()
-	for _, size := range []int{1, 3, len(full.Records)} {
-		var merged []Record
-		for _, c := range Chunks(len(full.Records), size) {
-			recs, _, err := EvaluatePoints(context.Background(), sc.Name, pts[c.Start:c.End], cfg)
-			if err != nil {
-				t.Fatalf("chunk %v: %v", c, err)
-			}
-			if len(recs) != c.Len() {
-				t.Fatalf("chunk %v returned %d records", c, len(recs))
-			}
-			merged = append(merged, recs...)
+	for _, c := range []struct {
+		sc     Scenario
+		budget Budget
+	}{
+		{baseline, AnalyticBudget()},
+		{shareScenario(), shareBudget()},
+	} {
+		cfg := Config{Workers: 2, Seed: 7, Budget: c.budget}
+		full, err := Run(context.Background(), c.sc, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Chunk records carry Pareto unset; the merger marks the front.
-		MarkParetoFeasible(merged, nil)
-		a, _ := json.Marshal(full.Records)
-		b, _ := json.Marshal(merged)
-		if string(a) != string(b) {
-			t.Fatalf("chunk size %d: merged records differ from single-node run", size)
+		pts := c.sc.Points()
+		for _, size := range []int{1, 3, len(full.Records)} {
+			var merged []Record
+			for _, ch := range Chunks(len(full.Records), size) {
+				recs, _, err := EvaluatePoints(context.Background(), c.sc.Name, pts[ch.Start:ch.End], cfg)
+				if err != nil {
+					t.Fatalf("chunk %v: %v", ch, err)
+				}
+				if len(recs) != ch.Len() {
+					t.Fatalf("chunk %v returned %d records", ch, len(recs))
+				}
+				merged = append(merged, recs...)
+			}
+			// Chunk records carry Pareto unset; the merger marks the front.
+			MarkParetoFeasible(merged, nil)
+			a, _ := json.Marshal(full.Records)
+			b, _ := json.Marshal(merged)
+			if string(a) != string(b) {
+				t.Fatalf("%s/%s chunk size %d: merged records differ from single-node run", c.sc.Name, c.budget.Name, size)
+			}
 		}
 	}
 }

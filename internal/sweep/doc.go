@@ -12,9 +12,10 @@
 //
 //   - A parallel executor (Run, built on Map) that evaluates grid
 //     points on a bounded worker pool sized by runtime.NumCPU(),
-//     honours context cancellation, and derives one deterministic
-//     rng sub-stream per point via rng.Stream.Split, so results are
-//     byte-identical for any worker count.
+//     honours context cancellation, and runs each distinct Monte-Carlo
+//     sub-model (a code's BER, a stack's simulated latency) once per
+//     call on an rng.Stream.Split stream keyed by its content, so
+//     results are byte-identical for any worker count.
 //
 //   - An adaptive Monte-Carlo budget controller (MeanEstimator and the
 //     RelCI/DecisiveBER fields of ldpc.BERParams) that stops a point's
@@ -45,8 +46,9 @@
 // The same purity that makes Map worker-count-independent makes sweeps
 // machine-count-independent: a slice of design points plus (scenario
 // name, budget name, seed) is everything a stateless process needs to
-// reproduce those records exactly, because point i's sub-stream is
-// rng.New(seed).Split(i+1) regardless of who evaluates it.
+// reproduce those records exactly, because every sub-model's stream is
+// rng.New(seed).Split(hash of its content key) regardless of who
+// evaluates it or which points it shares a call with.
 // EvaluatePoints is that contract as an API: over the points of a Chunk
 // ([Start, End) of a scenario grid) it yields exactly the records Run
 // gives those indices. The service layer's dispatcher and

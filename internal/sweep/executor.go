@@ -105,7 +105,7 @@ type Config struct {
 	// Workers bounds the pool (0 = runtime.NumCPU()). The records are
 	// identical for every value.
 	Workers int
-	// Seed is the root of the per-point deterministic sub-streams.
+	// Seed is the root of the deterministic sub-model streams.
 	Seed uint64
 	// Budget controls the Monte-Carlo effort spent per point.
 	Budget Budget
@@ -174,21 +174,41 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (*Result, error) {
 // cfg.OnPoint. It returns the records in slice order plus how many
 // were served from cfg.Cache.
 //
-// Each point's random sub-stream is rng.New(cfg.Seed).Split(Index+1), a
-// pure function of (seed, point index): callers that assign globally
-// unique indices (the adaptive optimizer numbers individuals
-// generation*population+i) get worker-count-independent, byte-identical
-// records for any partition of the list, exactly like scenario grids.
-// scenario names the point family in records and cache keys; optimizer
-// evaluations use "optimize/<space>" so they never collide with grid
-// scenarios.
+// The call runs in phases: a cache pre-pass and core.DesignSystem on
+// every uncached point; then, under a Monte-Carlo budget, each distinct
+// sub-model of the designed points (a code's BER, a stack's simulated
+// latency) once, in parallel through Map, every point that shares it
+// getting the same result; its points are stored and reported once all
+// sub-models are done. A sub-model draws only from
+// rng.New(cfg.Seed).Split(hash of its content key), never from a
+// point's index, so a record is a pure function of (seed, point,
+// budget): callers that partition a list any way (the fleet's chunks,
+// the optimizer's generations) get worker-count-independent,
+// byte-identical records, exactly like a single Run. scenario names
+// the point family in records and cache keys; optimizer evaluations use
+// "optimize/<space>" so they never collide with grid scenarios.
 func EvaluatePoints(ctx context.Context, scenario string, pts []Point, cfg Config) ([]Record, int, error) {
-	root := rng.New(cfg.Seed)
 	var keyer *Keyer
 	if cfg.Cache != nil {
 		// One keyer per evaluation context: the envelope's constant
 		// segments render once instead of once per point.
 		keyer = NewKeyer(scenario, cfg.Budget, cfg.Seed)
+	}
+	finish := func(key string, rec Record) {
+		if cfg.Cache != nil {
+			cfg.Cache.Put(key, rec)
+		}
+		if cfg.OnPoint != nil {
+			cfg.OnPoint(rec.Index, false)
+		}
+	}
+	// Only a Monte-Carlo budget defers points to the sub-model phase;
+	// the analytic path allocates nothing for it.
+	var pending [][]subModel
+	var keys []string
+	if cfg.Budget.BERSim || cfg.Budget.NoCSim {
+		pending = make([][]subModel, len(pts))
+		keys = make([]string, len(pts))
 	}
 	var cached atomic.Int64
 	recs, err := Map(ctx, len(pts), cfg.Workers, func(i int) Record {
@@ -207,17 +227,59 @@ func EvaluatePoints(ctx context.Context, scenario string, pts []Point, cfg Confi
 				return rec
 			}
 		}
-		// Split is a pure function of (root seed, point index): every
-		// point gets the same sub-stream no matter which worker —
-		// goroutine or fleet process — runs it.
-		rec := Evaluate(scenario, pts[i], root.Split(uint64(pts[i].Index)+1), cfg.Budget)
-		if cfg.Cache != nil {
-			cfg.Cache.Put(key, rec)
+		rec, des := designRecord(scenario, pts[i])
+		if pending != nil && des != nil {
+			pending[i], keys[i] = pointModels(des, pts[i].Spec, cfg.Budget), key
+			return rec
 		}
-		if cfg.OnPoint != nil {
-			cfg.OnPoint(pts[i].Index, false)
-		}
+		finish(key, rec)
 		return rec
 	})
-	return recs, int(cached.Load()), err
+	if err != nil || pending == nil {
+		return recs, int(cached.Load()), err
+	}
+	if err := runModels(ctx, pending, recs, cfg); err != nil {
+		return recs, int(cached.Load()), err
+	}
+	for i, ms := range pending {
+		if ms != nil {
+			finish(keys[i], recs[i])
+		}
+	}
+	return recs, int(cached.Load()), nil
+}
+
+// runModels runs each distinct sub-model of the pending points once
+// and applies its result to every record that uses it. Sub-models are
+// listed in first-use order, so the work handed to Map is
+// deterministic; the results do not depend on that order anyway.
+func runModels(ctx context.Context, pending [][]subModel, recs []Record, cfg Config) error {
+	var (
+		models []subModel
+		users  [][]int
+		index  = map[string]int{}
+	)
+	for i, ms := range pending {
+		for _, m := range ms {
+			k, ok := index[m.key()]
+			if !ok {
+				k = len(models)
+				index[m.key()] = k
+				models = append(models, m)
+				users = append(users, nil)
+			}
+			users[k] = append(users[k], i)
+		}
+	}
+	root := rng.New(cfg.Seed)
+	_, err := Map(ctx, len(models), cfg.Workers, func(k int) struct{} {
+		m := models[k]
+		m.run(modelStream(root, m.key()), cfg.Budget)
+		// A point's sub-models write disjoint record fields.
+		for _, i := range users[k] {
+			m.apply(&recs[i], cfg.Budget)
+		}
+		return struct{}{}
+	})
+	return err
 }

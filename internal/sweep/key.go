@@ -30,7 +30,18 @@ import (
 //     scenarios and three 912-point 16-319-module grids (one per traffic
 //     pattern; bit-complement records are byte-identical). Topology
 //     choice and every other field are byte-identical to engine 3.
-const EngineVersion = 4
+//   - 5: each Monte-Carlo sub-model (a code's BER, a stack's simulated
+//     latency) draws from rng.New(seed).Split(hash of its content key)
+//     instead of the point's Split(index+1) stream, and EvaluatePoints
+//     runs it once for every point that shares it. ber,
+//     sim_latency_cycles and sim_latency_ci95 move (ber_codewords and
+//     sim_replications can, where the adaptive stop lands elsewhere).
+//     The adaptive BER run lost its error-free early out: a run with
+//     no frame error spends the whole BERMaxCodewords instead of
+//     stopping at a quarter with BER 0. Every analytic field is
+//     byte-identical to engine 4, and the analytic budget's records
+//     are unchanged.
+const EngineVersion = 5
 
 // keyEnvelope is the canonical content of a point's address. Marshalled
 // with encoding/json the field order is fixed by declaration order, so
@@ -46,9 +57,10 @@ type keyEnvelope struct {
 // PointKey returns the content address of one evaluated design point:
 // the hex SHA-256 of the canonical JSON of (engine version, scenario,
 // point, budget, sweep seed). Everything Evaluate's output depends on is
-// in the envelope — the point's sub-stream is a pure function of (seed,
-// point index) — so a key collision means the records are identical and
-// a key change means the point must be recomputed.
+// in the envelope — each sub-model's stream is a pure function of (seed,
+// sub-model content), and that content is a function of (point, budget)
+// — so a key collision means the records are identical and a key change
+// means the point must be recomputed.
 func PointKey(scenario string, pt Point, b Budget, seed uint64) string {
 	env, err := json.Marshal(keyEnvelope{
 		Engine:   EngineVersion,

@@ -120,15 +120,15 @@ func TestPointKeyGolden(t *testing.T) {
 		want     string
 	}{
 		{"paper-baseline", sc.Points()[0], sweep.AnalyticBudget(), 1,
-			"11f72c970ef0b39b991380e5ed7209021c4c92bd39fecdfb29d80cc12e4f84d9"},
+			"dd81d0392aff5dd0ffb4843e3901a180a7388a2f8a7ab3aaded49c7443f7b662"},
 		{"paper-baseline", sc.Points()[len(sc.Points())-1], sweep.SmokeBudget(), 1<<64 - 1,
-			"7e304b6d3c4074fa05d1c4cc02ac051d1747d39f7952b24447e473ef732ee267"},
+			"91fe50002405677444f02e088916a31e823cefb5cf4b207ec873151a86d6ffd0"},
 		{"spec/sections", sweep.Point{Index: 7, Label: "traffic-hotspot-fraction=0.25", Spec: withSections},
 			sweep.AnalyticBudget(), 21,
-			"268663e64c3bfd742378ff0670dc8fa809e864bd4324b5a0b897c65689835c75"},
+			"38fab8070cf5b1bd5af213a6c332d8bb8f5cb91e863ab964638e893620ac627b"},
 		{"spec/integral", sweep.Point{Index: 0, Label: "snr-margin-db=1e+14", Spec: integral},
 			sweep.StandardBudget(), 0,
-			"54cbfafe0ff7fd0b3a0973c8c5b2a8e3f12b23faef4ee2edb941394e6729685d"},
+			"10e622eb78081f104293d0470f67ae7c99a192403d23259b157834633d863a9f"},
 	}
 	for _, c := range cases {
 		got := sweep.PointKey(c.scenario, c.pt, c.budget, c.seed)

@@ -5,15 +5,12 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 func TestMapOrderedAndComplete(t *testing.T) {
@@ -132,31 +129,11 @@ func TestRegistryHasCatalog(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	// A small grid with full Monte-Carlo coverage: both the BER stage
-	// and the adaptive NoC replication controller must land on the same
-	// records for any worker count.
-	sc := Scenario{
-		Name:        "test-mini",
-		Description: "worker-count determinism probe",
-		Points: func() []Point {
-			var g grid
-			for i, lat := range []int{100, 150, 200} {
-				spec := core.DefaultSpec()
-				spec.LatencyBudgetBits = lat
-				spec.StackModules = 16
-				g.add(fmt.Sprintf("p%d", i), spec)
-			}
-			return g.pts
-		},
-	}
-	budget := SmokeBudget()
-	budget.BERMaxCodewords = 64
-	budget.BERMaxIter = 10
-	budget.TermLength = 10
-	budget.NoCMeasureCycles = 400
-
+	// A grid with full Monte-Carlo coverage and shared sub-models: both
+	// the BER stage and the adaptive NoC replication controller must
+	// land on the same records for any worker count.
 	render := func(workers int) string {
-		res, err := Run(context.Background(), sc, Config{Workers: workers, Seed: 42, Budget: budget})
+		res, err := Run(context.Background(), shareScenario(), Config{Workers: workers, Seed: 42, Budget: shareBudget()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,8 +143,11 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return buf.String()
 	}
-	if a, b := render(1), render(8); a != b {
-		t.Error("sweep output depends on worker count")
+	want := render(1)
+	for _, workers := range []int{2, 8} {
+		if render(workers) != want {
+			t.Errorf("workers=%d: sweep output differs from workers=1", workers)
+		}
 	}
 }
 
