@@ -31,9 +31,6 @@ func NewButlerMatrix(n int, d float64) *ButlerMatrix {
 	return &ButlerMatrix{n: n, d: d}
 }
 
-// Ports returns the number of beam ports (= elements).
-func (b *ButlerMatrix) Ports() int { return b.n }
-
 // BeamDirections returns sin(theta) of each fixed beam, sorted ascending.
 func (b *ButlerMatrix) BeamDirections() []float64 {
 	out := make([]float64, b.n)

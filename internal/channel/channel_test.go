@@ -35,15 +35,6 @@ func TestPathlossExponentScaling(t *testing.T) {
 	}
 }
 
-func TestAmplitudeGainConsistent(t *testing.T) {
-	pl := NewFreespacePathloss(carrierHz, 0.1)
-	a := pl.AmplitudeGain(0.2)
-	back := -20 * math.Log10(a)
-	if math.Abs(back-pl.LossDB(0.2)) > 1e-9 {
-		t.Errorf("amplitude gain inconsistent with loss: %g vs %g", back, pl.LossDB(0.2))
-	}
-}
-
 func TestPathlossPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zeroDist":  func() { NewFreespacePathloss(carrierHz, 0.1).LossDB(0) },

@@ -51,12 +51,6 @@ func (p Pathloss) LossDB(distM float64) float64 {
 	return p.RefLossDB + 10*p.Exponent*math.Log10(distM/p.RefDistM)
 }
 
-// AmplitudeGain returns the linear field-amplitude gain corresponding to
-// LossDB(distM): 10^(-PL/20).
-func (p Pathloss) AmplitudeGain(distM float64) float64 {
-	return math.Pow(10, -p.LossDB(distM)/20)
-}
-
 // String implements fmt.Stringer.
 func (p Pathloss) String() string {
 	return fmt.Sprintf("PL(d) = %.2f dB + 10*%.4f*log10(d/%.3g m)", p.RefLossDB, p.Exponent, p.RefDistM)
@@ -85,9 +79,9 @@ func FitPathloss(distM, lossDB []float64, refDistM float64) (Pathloss, float64) 
 	return Pathloss{RefDistM: refDistM, RefLossDB: a, Exponent: b}, r2
 }
 
-// linearFit is a local least-squares fit (duplicated from numeric to keep
-// channel free of the optimiser dependency; it is ten lines of closed
-// form).
+// linearFit fits ys = a + b*xs by ordinary least squares and returns
+// the intercept, the slope and R^2. The slope is NaN when all xs are
+// equal; R^2 is 1 when all ys are.
 func linearFit(xs, ys []float64) (a, b, r2 float64) {
 	n := float64(len(xs))
 	var sx, sy float64

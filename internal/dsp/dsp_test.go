@@ -101,20 +101,6 @@ func TestFFTSingleToneLandsInOneBin(t *testing.T) {
 	}
 }
 
-func TestFFTRealMatchesComplex(t *testing.T) {
-	x := []float64{1, 2, -1, 0.5, 3, -2, 0, 1}
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	a, b := FFTReal(x), FFT(c)
-	for i := range a {
-		if !complexClose(a[i], b[i], 1e-10) {
-			t.Fatal("FFTReal disagrees with FFT")
-		}
-	}
-}
-
 // Property: Parseval's theorem, sum|x|^2 = (1/N) sum|X|^2.
 func TestPropertyParseval(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -229,128 +215,12 @@ func TestWindowStrings(t *testing.T) {
 	}
 }
 
-func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{0, 1, 0.5})
-	want := []float64{0, 1, 2.5, 4, 1.5}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("conv[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("empty convolution should be nil")
-	}
-}
-
-func TestCrossCorrelateFindsLag(t *testing.T) {
-	a := []float64{0, 0, 0, 1, 2, 1, 0, 0}
-	b := []float64{1, 2, 1}
-	r := CrossCorrelate(a, b)
-	// Peak should be where b aligns with a's bump.
-	peak := ArgMax(r)
-	lag := peak - (len(b) - 1) // convert index to lag
-	if lag != 3 {
-		t.Errorf("correlation peak lag = %d, want 3", lag)
-	}
-}
-
-func TestUpsample(t *testing.T) {
-	got := Upsample([]float64{1, 2}, 3)
-	want := []float64{1, 0, 0, 2, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Upsample = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestUpsamplePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Upsample factor 0 did not panic")
-		}
-	}()
-	Upsample([]float64{1}, 0)
-}
-
-func TestEnergyAndNormalize(t *testing.T) {
-	x := []float64{3, 4}
-	if e := Energy(x); e != 25 {
-		t.Errorf("Energy = %g, want 25", e)
-	}
-	NormalizeEnergy(x)
-	if e := Energy(x); math.Abs(e-1) > 1e-12 {
-		t.Errorf("normalised energy = %g, want 1", e)
-	}
-	zero := []float64{0, 0}
-	if s := NormalizeEnergy(zero); s != 0 {
-		t.Errorf("zero-signal normalisation factor = %g, want 0", s)
-	}
-}
-
-func TestSinc(t *testing.T) {
-	if Sinc(0) != 1 {
-		t.Error("Sinc(0) != 1")
-	}
-	for k := 1; k <= 5; k++ {
-		if v := Sinc(float64(k)); math.Abs(v) > 1e-15 {
-			t.Errorf("Sinc(%d) = %g, want 0", k, v)
-		}
-	}
-}
-
-func TestRaisedCosine(t *testing.T) {
-	// At t=0 the pulse is 1 for any roll-off.
-	for _, beta := range []float64{0, 0.35, 1} {
-		if v := RaisedCosine(0, beta); math.Abs(v-1) > 1e-12 {
-			t.Errorf("RC(0, %g) = %g, want 1", beta, v)
-		}
-	}
-	// Nyquist zero crossings at integer t.
-	for k := 1; k <= 4; k++ {
-		if v := RaisedCosine(float64(k), 0.35); math.Abs(v) > 1e-12 {
-			t.Errorf("RC(%d) = %g, want 0", k, v)
-		}
-	}
-	// Removable singularity at t = 1/(2 beta).
-	v := RaisedCosine(1/(2*0.5), 0.5)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Errorf("RC singularity not handled: %g", v)
-	}
-}
-
-func TestRaisedCosinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RaisedCosine with beta > 1 did not panic")
-		}
-	}()
-	RaisedCosine(0, 2)
-}
-
-func TestMaxAbsArgMax(t *testing.T) {
-	x := []float64{1, -5, 3}
-	if MaxAbs(x) != 5 {
-		t.Error("MaxAbs wrong")
-	}
-	if ArgMax(x) != 2 {
+func TestArgMax(t *testing.T) {
+	if ArgMax([]float64{1, -5, 3}) != 2 {
 		t.Error("ArgMax wrong")
 	}
-	if ArgMax(nil) != -1 || MaxAbs(nil) != 0 {
-		t.Error("empty-input conventions violated")
-	}
-}
-
-func TestMagnitudeDB(t *testing.T) {
-	db := MagnitudeDB([]complex128{10, 0})
-	if math.Abs(db[0]-20) > 1e-12 {
-		t.Errorf("MagnitudeDB(10) = %g, want 20", db[0])
-	}
-	if math.IsInf(db[1], -1) {
-		t.Error("MagnitudeDB(0) must be floored, not -Inf")
+	if ArgMax(nil) != -1 {
+		t.Error("empty-input convention violated")
 	}
 }
 

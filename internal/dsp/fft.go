@@ -1,10 +1,10 @@
 // Package dsp provides the signal-processing kernels for the wireless
 // interconnect library: complex FFTs of arbitrary length (radix-2 plus
-// Bluestein's algorithm), window functions, convolution and pulse shapes.
+// Bluestein's algorithm), window functions and ArgMax.
 //
 // The VNA module uses the inverse FFT with windowing to turn synthetic
-// 220-245 GHz frequency sweeps into impulse responses (paper Figs. 2-3);
-// the modem uses the pulse shapes for the 1-bit oversampling study.
+// 220-245 GHz frequency sweeps into impulse responses (paper Figs. 2-3)
+// and ArgMax to find their peaks.
 package dsp
 
 import (
@@ -123,43 +123,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		out[k] = a[k] * scale * w[k]
-	}
-	return out
-}
-
-// FFTReal transforms a real signal, returning the full complex spectrum.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if n := len(c); n > 1 && n&(n-1) == 0 {
-		fftRadix2(c, false)
-		return c
-	}
-	return FFT(c)
-}
-
-// Magnitude returns |x| element-wise.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// MagnitudeDB returns 20*log10|x| element-wise, with a floor to keep the
-// result finite for zero bins.
-func MagnitudeDB(x []complex128) []float64 {
-	const floor = 1e-30
-	out := make([]float64, len(x))
-	for i, v := range x {
-		m := cmplx.Abs(v)
-		if m < floor {
-			m = floor
-		}
-		out[i] = 20 * math.Log10(m)
 	}
 	return out
 }

@@ -1,111 +1,5 @@
 package dsp
 
-import "math"
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1). For short kernels it uses the direct method.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		if av == 0 {
-			continue
-		}
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-// CrossCorrelate returns the cross-correlation r[k] = sum_n a[n]*b[n+k]
-// for k in [-(len(b)-1), len(a)-1], as a slice indexed from lag
-// -(len(b)-1). The zero lag is at index len(b)-1.
-func CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	rev := make([]float64, len(b))
-	for i, v := range b {
-		rev[len(b)-1-i] = v
-	}
-	return Convolve(a, rev)
-}
-
-// Upsample inserts factor-1 zeros between samples.
-// factor must be >= 1.
-func Upsample(x []float64, factor int) []float64 {
-	if factor < 1 {
-		panic("dsp: upsample factor must be >= 1")
-	}
-	out := make([]float64, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
-}
-
-// Energy returns the sum of squares of x.
-func Energy(x []float64) float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	return e
-}
-
-// NormalizeEnergy scales x in place to unit energy and returns the
-// scaling factor applied. A zero signal is returned unchanged with
-// factor 0.
-func NormalizeEnergy(x []float64) float64 {
-	e := Energy(x)
-	if e == 0 {
-		return 0
-	}
-	s := 1 / math.Sqrt(e)
-	for i := range x {
-		x[i] *= s
-	}
-	return s
-}
-
-// Sinc is the normalised sinc function sin(pi x)/(pi x).
-func Sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
-}
-
-// RaisedCosine evaluates the raised-cosine pulse with roll-off beta at
-// time t (in symbol periods). beta in [0, 1].
-func RaisedCosine(t, beta float64) float64 {
-	if beta < 0 || beta > 1 {
-		panic("dsp: raised-cosine roll-off must be in [0,1]")
-	}
-	if beta > 0 {
-		if denomZero := math.Abs(2 * beta * t); math.Abs(denomZero-1) < 1e-12 {
-			// Removable singularity at t = +-1/(2 beta).
-			return math.Pi / 4 * Sinc(1/(2*beta))
-		}
-	}
-	return Sinc(t) * math.Cos(math.Pi*beta*t) / (1 - 4*beta*beta*t*t)
-}
-
-// MaxAbs returns the maximum absolute value in x (0 for empty input).
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // ArgMax returns the index of the largest element of x (-1 for empty).
 func ArgMax(x []float64) int {
 	if len(x) == 0 {

@@ -30,9 +30,6 @@ import (
 // channel: state = the S-1 previous symbols, input = the current symbol,
 // output = OSF noiseless amplitudes per branch.
 type Trellis struct {
-	constel modem.Constellation
-	pulse   modem.Pulse
-
 	numStates int
 	osf       int
 	m         int // alphabet size
@@ -57,8 +54,6 @@ func NewTrellis(c modem.Constellation, p modem.Pulse) *Trellis {
 		}
 	}
 	t := &Trellis{
-		constel:   c,
-		pulse:     p,
 		numStates: states,
 		osf:       p.OSF(),
 		m:         m,
@@ -99,12 +94,6 @@ func (t *Trellis) OSF() int { return t.osf }
 
 // Span returns the pulse span in symbols.
 func (t *Trellis) Span() int { return t.span }
-
-// Constellation returns the input alphabet.
-func (t *Trellis) Constellation() modem.Constellation { return t.constel }
-
-// Pulse returns the transmit pulse.
-func (t *Trellis) Pulse() modem.Pulse { return t.pulse }
 
 // Next returns the successor state of (state, input).
 func (t *Trellis) Next(state, input int) int { return t.next[state*t.m+input] }

@@ -208,14 +208,6 @@ func findUniqueStart(cfg Config, stream *rng.Stream) (modem.Pulse, bool) {
 	return start, true
 }
 
-// HasUniquelyDetectablePulse reports whether the configuration admits
-// any uniquely detectable pulse within the bounded search budget.
-func HasUniquelyDetectablePulse(cfg Config) bool {
-	cfg = cfg.defaults()
-	_, ok := findUniqueStart(cfg, rng.New(cfg.Seed))
-	return ok
-}
-
 // safePulse builds a unit-energy pulse from raw taps, reporting false for
 // degenerate (near-zero) tap vectors instead of panicking, so optimisers
 // can probe freely.

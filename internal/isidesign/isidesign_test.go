@@ -171,7 +171,11 @@ func TestDesignStrategiesLabelled(t *testing.T) {
 func TestDesignedPulsesUnitEnergy(t *testing.T) {
 	cfg := quickCfg()
 	for _, d := range []Design{Suboptimal(cfg), OptimizeSymbolwise(cfg), OptimizeSequence(cfg)} {
-		if e := d.Pulse.Energy(); math.Abs(e-1) > 1e-9 {
+		var e float64
+		for _, h := range d.Pulse.Taps() {
+			e += h * h
+		}
+		if math.Abs(e-1) > 1e-9 {
 			t.Errorf("%s pulse energy = %g, want 1", d.Strategy, e)
 		}
 		if d.Pulse.OSF() != 5 || d.Pulse.SpanSymbols() != 2 {

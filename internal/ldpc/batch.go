@@ -154,11 +154,8 @@ func NewBatchDecoder(code *Code, alg Algorithm, maxIter, lanes int) *BatchDecode
 	}
 }
 
-// Lanes returns the configured lane capacity.
-func (b *BatchDecoder) Lanes() int { return b.lanes }
-
 // Decode runs lockstep flooding (or layered) BP on a batch of channel
-// LLR vectors, one per lane. len(llrs) must be in [1, Lanes()] — ragged
+// LLR vectors, one per lane. len(llrs) must be in [1, lanes] — ragged
 // tail batches simply occupy fewer lanes. Each lane early-terminates
 // independently on a zero syndrome, exactly like the scalar Decode.
 // The result rows are in input order whatever slots the lanes ended in.

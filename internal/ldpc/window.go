@@ -53,9 +53,6 @@ func NewWindowDecoder(code *Code, w int, alg Algorithm, maxIter int) *WindowDeco
 	}
 }
 
-// Code returns the underlying terminated convolutional code.
-func (w *WindowDecoder) Code() *Code { return w.code }
-
 // SetSchedule selects the message-passing schedule of the per-window BP.
 func (w *WindowDecoder) SetSchedule(s Schedule) { w.dec.Sched = s }
 

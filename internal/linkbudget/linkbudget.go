@@ -110,12 +110,6 @@ func (b Budget) ReceivedSNRdB(distM, txPowerDBm float64, butler bool) float64 {
 	return txPowerDBm - b.RequiredTxPowerDBm(distM, 0, butler)
 }
 
-// LinkMarginDB returns the SNR margin of a link closed with txPowerDBm
-// against a target SNR.
-func (b Budget) LinkMarginDB(distM, txPowerDBm, targetSNRdB float64, butler bool) float64 {
-	return b.ReceivedSNRdB(distM, txPowerDBm, butler) - targetSNRdB
-}
-
 // ShannonRateBps returns the Shannon capacity of the link in bit/s for
 // the given received SNR (dB), counting both polarisations.
 func (b Budget) ShannonRateBps(snrDB float64) float64 {

@@ -105,14 +105,6 @@ func TestReceivedSNRInverts(t *testing.T) {
 	}
 }
 
-func TestLinkMargin(t *testing.T) {
-	b := TableI()
-	p := b.RequiredTxPowerDBm(0.1, 15, false)
-	if m := b.LinkMarginDB(0.1, p+3, 15, false); math.Abs(m-3) > 1e-9 {
-		t.Errorf("margin = %g, want 3", m)
-	}
-}
-
 func TestShannonRateSupports100G(t *testing.T) {
 	b := TableI()
 	// 2 bit/s/Hz per polarisation requires SNR = 3 (4.77 dB).

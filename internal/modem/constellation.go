@@ -1,8 +1,9 @@
 // Package modem provides the transmit-side signal model of the paper's
 // Sec. III: M-ASK constellations, staircase transmit pulses spanning
 // several symbol periods (the designed inter-symbol interference of
-// Fig. 5), oversampled waveform synthesis and the 1-bit receiver
-// quantiser.
+// Fig. 5), their noiseless per-block samples (the branch outputs of the
+// 1-bit receiver's trellis), oversampled waveform synthesis and the
+// noise level for a target SNR.
 //
 // Conventions: constellations are normalised to unit average symbol
 // energy and pulses to unit energy, so SNR = 1/sigma^2 where sigma is the
@@ -46,33 +47,3 @@ func (c Constellation) Size() int { return len(c.levels) }
 
 // Level returns the amplitude of symbol index i (sorted ascending).
 func (c Constellation) Level(i int) float64 { return c.levels[i] }
-
-// Levels returns a copy of the amplitude alphabet.
-func (c Constellation) Levels() []float64 {
-	return append([]float64(nil), c.levels...)
-}
-
-// AvgEnergy returns the mean squared amplitude (1 by construction).
-func (c Constellation) AvgEnergy() float64 {
-	var e float64
-	for _, l := range c.levels {
-		e += l * l
-	}
-	return e / float64(len(c.levels))
-}
-
-// MinDistance returns the minimum distance between two levels.
-func (c Constellation) MinDistance() float64 {
-	min := math.Inf(1)
-	for i := 1; i < len(c.levels); i++ {
-		if d := c.levels[i] - c.levels[i-1]; d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// BitsPerSymbol returns log2 of the alphabet size.
-func (c Constellation) BitsPerSymbol() float64 {
-	return math.Log2(float64(len(c.levels)))
-}

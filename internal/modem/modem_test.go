@@ -4,21 +4,37 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/rng"
 )
+
+// levels returns the constellation's amplitudes in index order.
+func levels(c Constellation) []float64 {
+	ls := make([]float64, c.Size())
+	for i := range ls {
+		ls[i] = c.Level(i)
+	}
+	return ls
+}
+
+// sumSquares returns the energy of xs.
+func sumSquares(xs []float64) float64 {
+	var e float64
+	for _, x := range xs {
+		e += x * x
+	}
+	return e
+}
 
 func TestASKConstellation(t *testing.T) {
 	c := NewASK(4)
 	if c.Size() != 4 {
 		t.Fatalf("size = %d, want 4", c.Size())
 	}
+	ls := levels(c)
 	// Unit average energy by construction.
-	if e := c.AvgEnergy(); math.Abs(e-1) > 1e-12 {
+	if e := sumSquares(ls) / 4; math.Abs(e-1) > 1e-12 {
 		t.Errorf("avg energy = %g, want 1", e)
 	}
 	// Levels proportional to {-3,-1,1,3}: ratio of extremes is 3.
-	ls := c.Levels()
 	if math.Abs(ls[3]/ls[2]-3) > 1e-12 {
 		t.Errorf("level ratio = %g, want 3", ls[3]/ls[2])
 	}
@@ -26,12 +42,11 @@ func TestASKConstellation(t *testing.T) {
 	if math.Abs(ls[0]+ls[3]) > 1e-15 || math.Abs(ls[1]+ls[2]) > 1e-15 {
 		t.Errorf("levels not symmetric: %v", ls)
 	}
-	if math.Abs(c.BitsPerSymbol()-2) > 1e-15 {
-		t.Errorf("bits/symbol = %g, want 2", c.BitsPerSymbol())
-	}
-	// Min distance of unit-energy 4-ASK is 2/sqrt(5).
-	if d := c.MinDistance(); math.Abs(d-2/math.Sqrt(5)) > 1e-12 {
-		t.Errorf("min distance = %g, want %g", d, 2/math.Sqrt(5))
+	// Adjacent levels of unit-energy 4-ASK are 2/sqrt(5) apart.
+	for i := 1; i < 4; i++ {
+		if d := ls[i] - ls[i-1]; math.Abs(d-2/math.Sqrt(5)) > 1e-12 {
+			t.Errorf("level spacing %d = %g, want %g", i, d, 2/math.Sqrt(5))
+		}
 	}
 }
 
@@ -49,8 +64,7 @@ func TestASKPanics(t *testing.T) {
 }
 
 func TestBinaryASK(t *testing.T) {
-	c := NewASK(2)
-	ls := c.Levels()
+	ls := levels(NewASK(2))
 	if math.Abs(ls[0]+1) > 1e-12 || math.Abs(ls[1]-1) > 1e-12 {
 		t.Errorf("2-ASK levels = %v, want [-1, 1]", ls)
 	}
@@ -58,31 +72,32 @@ func TestBinaryASK(t *testing.T) {
 
 func TestRectPulse(t *testing.T) {
 	p := NewRect(5)
-	if p.OSF() != 5 || p.SpanSymbols() != 1 || p.NumTaps() != 5 {
+	if p.OSF() != 5 || p.SpanSymbols() != 1 || len(p.Taps()) != 5 {
 		t.Fatalf("rect pulse shape wrong: %+v", p)
 	}
 	if !p.IsRect() {
 		t.Error("IsRect() = false for rect pulse")
 	}
-	if e := p.Energy(); math.Abs(e-1) > 1e-12 {
+	if e := sumSquares(p.Taps()); math.Abs(e-1) > 1e-12 {
 		t.Errorf("energy = %g, want 1", e)
 	}
 }
 
 func TestRampPulse(t *testing.T) {
 	p := NewRamp(5, 4)
-	if p.SpanSymbols() != 4 || p.NumTaps() != 20 {
+	taps := p.Taps()
+	if p.SpanSymbols() != 4 || len(taps) != 20 {
 		t.Fatalf("ramp pulse shape wrong")
 	}
 	if p.IsRect() {
 		t.Error("ramp reported as rect")
 	}
-	if e := p.Energy(); math.Abs(e-1) > 1e-12 {
+	if e := sumSquares(taps); math.Abs(e-1) > 1e-12 {
 		t.Errorf("energy = %g, want 1", e)
 	}
 	// Monotone increasing taps.
-	for i := 1; i < p.NumTaps(); i++ {
-		if p.Tap(i) <= p.Tap(i-1) {
+	for i := 1; i < len(taps); i++ {
+		if taps[i] <= taps[i-1] {
 			t.Fatal("ramp taps not increasing")
 		}
 	}
@@ -128,8 +143,8 @@ func TestModulateSuperposition(t *testing.T) {
 	// Compare against direct per-symbol superposition.
 	want := make([]float64, len(s))
 	for k, x := range xs {
-		for i := 0; i < p.NumTaps(); i++ {
-			want[k*5+i] += x * p.Tap(i)
+		for i, h := range p.Taps() {
+			want[k*5+i] += x * h
 		}
 	}
 	for i := range want {
@@ -164,16 +179,6 @@ func TestBlockAmplitudesPanicsOnBadHistory(t *testing.T) {
 	NewRamp(5, 4).BlockAmplitudes([]float64{1}, nil)
 }
 
-func TestQuantize1Bit(t *testing.T) {
-	got := Quantize1Bit([]float64{-0.1, 0, 3, -7})
-	want := []int8{-1, 1, 1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("quantise = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestNoiseSigmaForSNR(t *testing.T) {
 	// 0 dB -> sigma 1; 20 dB -> sigma 0.1.
 	if s := NoiseSigmaForSNR(0); math.Abs(s-1) > 1e-12 {
@@ -184,35 +189,15 @@ func TestNoiseSigmaForSNR(t *testing.T) {
 	}
 }
 
-func TestAWGNStatistics(t *testing.T) {
-	stream := rng.New(99)
-	buf := make([]float64, 100000)
-	AWGN(buf, 0.5, stream)
-	var mean, sq float64
-	for _, v := range buf {
-		mean += v
-		sq += v * v
-	}
-	mean /= float64(len(buf))
-	sq /= float64(len(buf))
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("noise mean = %g", mean)
-	}
-	if math.Abs(sq-0.25) > 0.01 {
-		t.Errorf("noise variance = %g, want 0.25", sq)
-	}
-}
-
 // Property: any constellation built by NewASK has unit average energy and
 // symmetric levels.
 func TestPropertyASKNormalised(t *testing.T) {
 	f := func(raw uint8) bool {
 		m := 2 * (int(raw)%8 + 1) // 2..16, even
-		c := NewASK(m)
-		if math.Abs(c.AvgEnergy()-1) > 1e-9 {
+		ls := levels(NewASK(m))
+		if math.Abs(sumSquares(ls)/float64(m)-1) > 1e-9 {
 			return false
 		}
-		ls := c.Levels()
 		for i := range ls {
 			if math.Abs(ls[i]+ls[len(ls)-1-i]) > 1e-9 {
 				return false
@@ -266,7 +251,7 @@ func TestPropertyPulseUnitEnergy(t *testing.T) {
 			return true
 		}
 		p := NewPulse(taps, len(taps))
-		return math.Abs(p.Energy()-1) < 1e-9
+		return math.Abs(sumSquares(p.Taps())-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -76,21 +76,6 @@ func (p Pulse) Taps() []float64 {
 	return append([]float64(nil), p.taps...)
 }
 
-// Tap returns tap i without copying.
-func (p Pulse) Tap(i int) float64 { return p.taps[i] }
-
-// NumTaps returns the tap count.
-func (p Pulse) NumTaps() int { return len(p.taps) }
-
-// Energy returns the tap energy (1 by construction).
-func (p Pulse) Energy() float64 {
-	var e float64
-	for _, t := range p.taps {
-		e += t * t
-	}
-	return e
-}
-
 // IsRect reports whether the pulse is (numerically) the rectangular
 // ISI-free pulse.
 func (p Pulse) IsRect() bool {

@@ -1,34 +1,6 @@
 package modem
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
-
-// Quantize1Bit applies the one-bit ADC: +1 for non-negative samples,
-// -1 otherwise. One-bit conversion dominates the receiver's energy budget
-// at multi-Gbit/s rates, which is why the paper builds the whole receive
-// chain around it.
-func Quantize1Bit(samples []float64) []int8 {
-	out := make([]int8, len(samples))
-	for i, s := range samples {
-		if s >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
-// AWGN adds white Gaussian noise of standard deviation sigma to the
-// samples in place.
-func AWGN(samples []float64, sigma float64, stream *rng.Stream) {
-	for i := range samples {
-		samples[i] += sigma * stream.Norm()
-	}
-}
+import "math"
 
 // NoiseSigmaForSNR returns the per-sample noise standard deviation that
 // realises the given matched-filter SNR (dB) for a unit-energy pulse and

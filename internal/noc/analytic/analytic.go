@@ -208,16 +208,6 @@ type CurvePoint struct {
 	Saturated     bool
 }
 
-// LatencyCurve samples AvgLatency over the given injection rates.
-func (m Model) LatencyCurve(rates []float64) []CurvePoint {
-	out := make([]CurvePoint, len(rates))
-	for i, r := range rates {
-		lat, ok := m.AvgLatency(r)
-		out[i] = CurvePoint{InjectionRate: r, LatencyCycles: lat, Saturated: !ok}
-	}
-	return out
-}
-
 // ZeroLoadLatency returns the latency floor (no queueing).
 func (m Model) ZeroLoadLatency() float64 {
 	lat, _ := m.AvgLatency(0)

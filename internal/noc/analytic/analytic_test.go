@@ -122,7 +122,7 @@ func TestLatencyDivergesAtSaturation(t *testing.T) {
 func TestLatencyCurve(t *testing.T) {
 	m := model(noc.NewStarMesh(4, 4, 4))
 	rates := []float64{0.01, 0.1, 0.18, 0.25}
-	curve := m.LatencyCurve(rates)
+	curve := m.Compile().LatencyCurve(rates)
 	if len(curve) != 4 {
 		t.Fatalf("curve length %d", len(curve))
 	}

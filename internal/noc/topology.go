@@ -156,9 +156,6 @@ func (m *Mesh) hasPillar(x, y int) bool {
 // Name returns a human-readable topology label.
 func (m *Mesh) Name() string { return m.name }
 
-// Dims returns the router-grid extents.
-func (m *Mesh) Dims() (x, y, z int) { return m.dims[0], m.dims[1], m.dims[2] }
-
 // NumRouters returns the router count.
 func (m *Mesh) NumRouters() int { return m.dims[0] * m.dims[1] * m.dims[2] }
 

@@ -71,47 +71,3 @@ func (gh *GaussHermite) ExpectGaussian(f func(float64) float64, mu, sigma float6
 	}
 	return sum / math.Sqrt(math.Pi)
 }
-
-// Simpson integrates f over [a, b] with n (even, >= 2) uniform panels.
-func Simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 2 {
-		n = 2
-	}
-	if n%2 != 0 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
-
-// AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol
-// using recursive interval halving with a depth cap.
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) float64 {
-	fa, fb := f(a), f(b)
-	m := 0.5 * (a + b)
-	fm := f(m)
-	whole := (b - a) / 6 * (fa + 4*fm + fb)
-	return adaptiveSimpsonRec(f, a, b, fa, fb, fm, whole, tol, 24)
-}
-
-func adaptiveSimpsonRec(f func(float64) float64, a, b, fa, fb, fm, whole, tol float64, depth int) float64 {
-	m := 0.5 * (a + b)
-	lm, rm := 0.5*(a+m), 0.5*(m+b)
-	flm, frm := f(lm), f(rm)
-	left := (m - a) / 6 * (fa + 4*flm + fm)
-	right := (b - m) / 6 * (fm + 4*frm + fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveSimpsonRec(f, a, m, fa, fm, flm, left, tol/2, depth-1) +
-		adaptiveSimpsonRec(f, m, b, fm, fb, frm, right, tol/2, depth-1)
-}

@@ -1,192 +1,5 @@
 package numeric
 
-import (
-	"math"
-	"sort"
-)
-
-// GoldenSection maximises a unimodal function f on [a, b] and returns the
-// maximising argument. tol is the absolute tolerance on the argument.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949 // 1/phi
-	if a > b {
-		a, b = b, a
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		}
-	}
-	return 0.5 * (a + b)
-}
-
-// Bisect finds a root of f on [a, b] assuming f(a) and f(b) bracket zero.
-// It returns the midpoint of the final bracket after the interval shrinks
-// below tol. If the endpoints do not bracket a sign change, it returns NaN.
-func Bisect(f func(float64) float64, a, b, tol float64) float64 {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a
-	}
-	if fb == 0 {
-		return b
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return math.NaN()
-	}
-	for b-a > tol {
-		mid := 0.5 * (a + b)
-		fm := f(mid)
-		if fm == 0 {
-			return mid
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = mid, fm
-		} else {
-			b = mid
-		}
-	}
-	return 0.5 * (a + b)
-}
-
-// NelderMeadOptions configures the downhill-simplex maximiser.
-type NelderMeadOptions struct {
-	// MaxEvals bounds the number of objective evaluations. Zero means 500·dim.
-	MaxEvals int
-	// Tol is the convergence tolerance on the simplex function spread.
-	// Zero means 1e-9.
-	Tol float64
-	// Step is the initial simplex edge length. Zero means 0.1.
-	Step float64
-}
-
-// NelderMead maximises f starting from x0 using the downhill simplex
-// method (on -f). It returns the best point found and its objective value.
-// The input slice is not modified.
-func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) ([]float64, float64) {
-	n := len(x0)
-	if n == 0 {
-		return nil, f(nil)
-	}
-	if opt.MaxEvals == 0 {
-		opt.MaxEvals = 500 * n
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-9
-	}
-	if opt.Step == 0 {
-		opt.Step = 0.1
-	}
-
-	type vertex struct {
-		x []float64
-		f float64
-	}
-	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(x)
-	}
-
-	// Initial simplex: x0 plus one perturbed vertex per dimension.
-	simplex := make([]vertex, n+1)
-	simplex[0] = vertex{append([]float64(nil), x0...), eval(x0)}
-	for i := 0; i < n; i++ {
-		x := append([]float64(nil), x0...)
-		x[i] += opt.Step
-		simplex[i+1] = vertex{x, eval(x)}
-	}
-
-	const (
-		alpha = 1.0 // reflection
-		gamma = 2.0 // expansion
-		rho   = 0.5 // contraction
-		sigma = 0.5 // shrink
-	)
-
-	centroid := make([]float64, n)
-	xr := make([]float64, n)
-	xe := make([]float64, n)
-	xc := make([]float64, n)
-
-	for evals < opt.MaxEvals {
-		// Sort descending: best (largest f) first.
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f > simplex[j].f })
-		if simplex[0].f-simplex[n].f < opt.Tol {
-			break
-		}
-		// Centroid of all but worst.
-		for j := range centroid {
-			centroid[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			for j := range centroid {
-				centroid[j] += simplex[i].x[j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(n)
-		}
-		worst := &simplex[n]
-
-		// Reflection.
-		for j := range xr {
-			xr[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
-		}
-		fr := eval(xr)
-		switch {
-		case fr > simplex[0].f:
-			// Expansion.
-			for j := range xe {
-				xe[j] = centroid[j] + gamma*(xr[j]-centroid[j])
-			}
-			if fe := eval(xe); fe > fr {
-				copy(worst.x, xe)
-				worst.f = fe
-			} else {
-				copy(worst.x, xr)
-				worst.f = fr
-			}
-		case fr > simplex[n-1].f:
-			copy(worst.x, xr)
-			worst.f = fr
-		default:
-			// Contraction toward the better of worst/reflected.
-			ref := worst.x
-			refF := worst.f
-			if fr > worst.f {
-				ref, refF = xr, fr
-			}
-			for j := range xc {
-				xc[j] = centroid[j] + rho*(ref[j]-centroid[j])
-			}
-			if fc := eval(xc); fc > refF {
-				copy(worst.x, xc)
-				worst.f = fc
-			} else {
-				// Shrink toward best.
-				for i := 1; i <= n; i++ {
-					for j := range simplex[i].x {
-						simplex[i].x[j] = simplex[0].x[j] + sigma*(simplex[i].x[j]-simplex[0].x[j])
-					}
-					simplex[i].f = eval(simplex[i].x)
-				}
-			}
-		}
-	}
-	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f > simplex[j].f })
-	return simplex[0].x, simplex[0].f
-}
-
 // CoordinateAscentOptions configures CoordinateAscent.
 type CoordinateAscentOptions struct {
 	// Sweeps is the number of full passes over the coordinates (default 10).

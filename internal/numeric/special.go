@@ -1,12 +1,11 @@
 // Package numeric provides the numerical kernels shared by the
-// wireless-interconnect library: special functions (Gaussian Q),
-// stable log-domain arithmetic, 1-D and multi-dimensional optimisers,
-// quadrature rules and linear least squares.
+// wireless-interconnect library: the Gaussian tail function Q and its
+// log-domain form, Gauss-Hermite quadrature for Gaussian expectations,
+// a coordinate-ascent maximiser and Clamp.
 //
-// Everything is deterministic and allocation-conscious; optimisers accept
-// plain func objectives so they can be reused across the information-rate
-// (paper Sec. III), filter-design (Sec. III) and link-budget (Sec. II,
-// Fig. 4) modules.
+// Everything is deterministic. The information-rate bounds of the 1-bit
+// receiver (paper Sec. III) use Q, log Q, the quadrature and Clamp; the
+// pulse-design search (Sec. III) uses coordinate ascent.
 package numeric
 
 import "math"
@@ -15,26 +14,6 @@ import "math"
 // It is computed via erfc for numerical stability in both tails.
 func QFunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// QInv returns the inverse of the Gaussian Q-function, i.e. the x with
-// Q(x) = p for p in (0,1). It uses bisection refined by Newton steps on
-// the monotone tail, accurate to ~1e-12.
-func QInv(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	// Q is strictly decreasing; bracket generously.
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := 0.5 * (lo + hi)
-		if QFunc(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi)
 }
 
 // LogQ returns log Q(x), stable for large x where Q underflows.
@@ -49,47 +28,6 @@ func LogQ(x float64) float64 {
 	logPhi := -0.5*x*x - 0.5*math.Log(2*math.Pi)
 	return logPhi - math.Log(x) + math.Log1p(-1/(x*x)+3/(x*x*x*x))
 }
-
-// NormPDF is the standard normal density.
-func NormPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
-// LogSumExp returns log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogSumExpSlice returns log(sum_i exp(x_i)) without overflow.
-// It returns -Inf for an empty or all -Inf input.
-func LogSumExpSlice(xs []float64) float64 {
-	maxVal := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxVal {
-			maxVal = x
-		}
-	}
-	if math.IsInf(maxVal, -1) {
-		return maxVal
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - maxVal)
-	}
-	return maxVal + math.Log(sum)
-}
-
-// Log2 converts a natural logarithm to base 2.
-func Log2(ln float64) float64 { return ln / math.Ln2 }
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

@@ -712,7 +712,7 @@ func serviceSubmitPoll() Workload {
 	return Workload{
 		Name:           "service-submit-poll",
 		MaxAllocsPerOp: 900,
-		Description:    "HTTP service round trip: submit an embedded-box job, poll to done, fetch records",
+		Description:    "HTTP service round trip: submit an embedded-box job, wait on its generations stream, read status, fetch records",
 		Units:          "records",
 		Setup: func(ctx context.Context, seed uint64) (func(), error) {
 			mgr = service.New(service.Options{JobWorkers: 2})
@@ -738,21 +738,31 @@ func serviceSubmitPoll() Workload {
 			if err != nil {
 				return 0, err
 			}
-			for jv.State != "done" {
-				if jv.State == "failed" || jv.State == "cancelled" {
-					return 0, fmt.Errorf("job %s ended %s", jv.ID, jv.State)
-				}
-				r, err := http.Get(srv.URL + "/api/v1/jobs/" + jv.ID)
-				if err != nil {
-					return 0, err
-				}
-				err = json.NewDecoder(r.Body).Decode(&jv)
-				r.Body.Close()
-				if err != nil {
-					return 0, err
-				}
+			// The generations stream closes once the job is terminal (a
+			// sweep job sends no lines), so draining it waits without
+			// polling: the workload's allocations stay independent of how
+			// fast the job runs.
+			r, err := http.Get(srv.URL + "/api/v1/jobs/" + jv.ID + "/generations")
+			if err != nil {
+				return 0, err
 			}
-			r, err := http.Get(srv.URL + "/api/v1/jobs/" + jv.ID + "/records")
+			_, err = io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+			if err != nil {
+				return 0, err
+			}
+			if r, err = http.Get(srv.URL + "/api/v1/jobs/" + jv.ID); err != nil {
+				return 0, err
+			}
+			err = json.NewDecoder(r.Body).Decode(&jv)
+			r.Body.Close()
+			if err != nil {
+				return 0, err
+			}
+			if jv.State != "done" {
+				return 0, fmt.Errorf("job %s ended %s", jv.ID, jv.State)
+			}
+			r, err = http.Get(srv.URL + "/api/v1/jobs/" + jv.ID + "/records")
 			if err != nil {
 				return 0, err
 			}

@@ -25,7 +25,6 @@ type Stream struct {
 	spare    float64
 	hasSpare bool
 	seed     uint64
-	splits   uint64
 }
 
 // New returns a Stream seeded deterministically from seed.
@@ -60,13 +59,6 @@ func mix(z uint64) uint64 {
 // pairs are decorrelated by the SplitMix64 finaliser.
 func (s *Stream) Split(n uint64) *Stream {
 	return New(mix(s.seed ^ mix(n+0x1234_5678_9abc_def0)))
-}
-
-// Next derives a fresh child stream, advancing an internal split counter.
-// Successive calls return independent streams.
-func (s *Stream) Next() *Stream {
-	s.splits++
-	return s.Split(s.splits)
 }
 
 // Float64 returns a uniform deviate in [0, 1).
@@ -107,30 +99,6 @@ func (s *Stream) Exp(rate float64) float64 {
 		panic("rng: non-positive exponential rate")
 	}
 	return s.src().ExpFloat64() / rate
-}
-
-// Poisson returns a Poisson deviate with the given mean using Knuth's
-// method for small means and normal approximation beyond 500 (where the
-// relative error is < 0.1%).
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		v := math.Round(mean + math.Sqrt(mean)*s.Norm())
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	limit := math.Exp(-mean)
-	r := s.src()
-	k, p := 0, 1.0
-	for p > limit {
-		k++
-		p *= r.Float64()
-	}
-	return k - 1
 }
 
 // Bernoulli returns true with probability p.

@@ -72,7 +72,6 @@ func shardDir(dir string, shard int) string {
 // single Store rooted at dir itself, byte-compatible with a
 // pre-sharding store directory.
 type Sharded struct {
-	dir    string
 	shards []*Store
 }
 
@@ -118,7 +117,7 @@ func OpenSharded(dir string, n int, o Options) (*Sharded, error) {
 		}
 	}
 
-	s := &Sharded{dir: dir, shards: make([]*Store, n)}
+	s := &Sharded{shards: make([]*Store, n)}
 	for i := range s.shards {
 		d := dir
 		if n > 1 {
@@ -198,9 +197,6 @@ func (s *Sharded) Len() int {
 	}
 	return n
 }
-
-// Dir returns the store's root directory.
-func (s *Sharded) Dir() string { return s.dir }
 
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }

@@ -470,9 +470,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()

@@ -1,7 +1,7 @@
 // Package units provides the physical units, constants and conversions
 // used throughout the wireless-interconnect library: decibel/linear
-// conversions, power in dBm, frequency/wavelength relations and thermal
-// noise floors.
+// power conversions, power in dBm, thermal noise floors, SNR to Eb/N0,
+// frequency multiples and the formatting of Hz, dB and dBm values.
 //
 // All conversions are pure functions over float64; quantities carry their
 // unit in the name (FreqHz, PowerDBm) rather than in a wrapper type, which
@@ -17,8 +17,6 @@ import (
 
 // Physical constants (SI).
 const (
-	// SpeedOfLight is the speed of light in vacuum, m/s.
-	SpeedOfLight = 299_792_458.0
 	// Boltzmann is the Boltzmann constant, J/K.
 	Boltzmann = 1.380_649e-23
 	// MilliwattInWatts is one milliwatt expressed in watts.
@@ -36,16 +34,6 @@ func FromDB(db float64) float64 {
 	return math.Pow(10, db/10)
 }
 
-// AmpDB converts a linear amplitude (voltage) ratio to decibels.
-func AmpDB(ratio float64) float64 {
-	return 20 * math.Log10(math.Abs(ratio))
-}
-
-// FromAmpDB converts decibels to a linear amplitude ratio.
-func FromAmpDB(db float64) float64 {
-	return math.Pow(10, db/20)
-}
-
 // DBm converts a power in watts to dBm.
 func DBm(watts float64) float64 {
 	return 10 * math.Log10(watts/MilliwattInWatts)
@@ -54,25 +42,6 @@ func DBm(watts float64) float64 {
 // FromDBm converts a power in dBm to watts.
 func FromDBm(dbm float64) float64 {
 	return MilliwattInWatts * math.Pow(10, dbm/10)
-}
-
-// Wavelength returns the free-space wavelength in metres for a carrier
-// frequency in hertz. It panics if freqHz <= 0: a non-positive carrier is
-// a programming error, not a runtime condition.
-func Wavelength(freqHz float64) float64 {
-	if freqHz <= 0 {
-		panic(fmt.Sprintf("units: non-positive frequency %g Hz", freqHz))
-	}
-	return SpeedOfLight / freqHz
-}
-
-// Frequency returns the carrier frequency in hertz for a free-space
-// wavelength in metres.
-func Frequency(wavelengthM float64) float64 {
-	if wavelengthM <= 0 {
-		panic(fmt.Sprintf("units: non-positive wavelength %g m", wavelengthM))
-	}
-	return SpeedOfLight / wavelengthM
 }
 
 // ThermalNoiseW returns the thermal noise power kTB in watts for a
@@ -96,14 +65,6 @@ func EbN0FromSNR(snrDB, rate float64) float64 {
 	return snrDB - DB(rate)
 }
 
-// SNRFromEbN0 is the inverse of EbN0FromSNR.
-func SNRFromEbN0(ebn0DB, rate float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("units: non-positive spectral efficiency %g", rate))
-	}
-	return ebn0DB + DB(rate)
-}
-
 // Frequency helpers for readable experiment parameter tables.
 const (
 	Hz  = 1.0
@@ -111,13 +72,6 @@ const (
 	MHz = 1e6
 	GHz = 1e9
 	THz = 1e12
-)
-
-// Distance helpers.
-const (
-	Metre      = 1.0
-	Millimetre = 1e-3
-	Centimetre = 1e-2
 )
 
 // FormatHz renders a frequency with an engineering suffix (Hz, kHz, MHz,
