@@ -20,12 +20,16 @@
 // exact directory layout of earlier releases.
 //
 // With -distributed, jobs are not evaluated in-process: they are cut
-// into chunks of -chunk grid points and served to sweepworker processes
-// over lease/heartbeat/complete endpoints. A worker that dies mid-chunk
-// stops heartbeating, its lease expires after -lease-ttl, and the chunk
-// is re-queued. -local-workers N keeps N in-process workers draining
-// the same queue — the fallback that lets a distributed daemon complete
-// jobs before any remote worker connects (0 = pure remote fleet).
+// into chunks of at most -chunk points and served to sweepworker
+// processes over lease/heartbeat/complete endpoints. A group of points
+// that share all their Monte-Carlo sub-models (a code's BER, a stack's
+// simulated latency) is never split, since every piece would re-run
+// them: such a group larger than -chunk is one chunk. A worker that
+// dies mid-chunk stops heartbeating, its lease expires after
+// -lease-ttl, and the chunk is re-queued. -local-workers N keeps N
+// in-process workers draining the same queue — the fallback that lets
+// a distributed daemon complete jobs before any remote worker connects
+// (0 = pure remote fleet).
 // Optimization jobs work in both modes: the NSGA-II coordinator always
 // runs daemon-side, and in distributed mode each generation's
 // individuals are chunked and leased to the same worker fleet (the
@@ -122,7 +126,7 @@ func main() {
 	flag.DurationVar(&c.drain, "drain", 30*time.Second, "graceful shutdown deadline")
 	flag.BoolVar(&c.distributed, "distributed", false, "serve jobs to sweepworker processes instead of evaluating in-process")
 	flag.IntVar(&c.localWorkers, "local-workers", 1, "in-process workers draining the distributed queue (0 = pure remote fleet; ignored without -distributed)")
-	flag.IntVar(&c.chunk, "chunk", 4, "grid points per worker lease (with -distributed)")
+	flag.IntVar(&c.chunk, "chunk", 4, "most points per worker lease (with -distributed); points sharing all Monte-Carlo sub-models are never split")
 	flag.DurationVar(&c.leaseTTL, "lease-ttl", 30*time.Second, "how long a dead worker's chunk stays leased before re-queueing")
 	flag.IntVar(&c.storeShards, "store-shards", 0, "result-store shards; 0 reuses the store's existing layout (new stores: 1). The count is fixed at store creation")
 	flag.IntVar(&c.trace, "trace", obs.DefaultCollectorCap, "spans retained for /api/v1/jobs/{id}/trace (0 disables tracing)")

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -76,11 +77,11 @@ func main() {
 		switch name {
 		case "all":
 			for _, n := range order {
-				run(n, runners[n], q)
+				run(os.Stdout, os.Stderr, n, runners[n], q)
 			}
 		case "ablations":
 			for _, n := range ablationOrder {
-				run(n, ablations[n], q)
+				run(os.Stdout, os.Stderr, n, ablations[n], q)
 			}
 		default:
 			fn, err := resolve(name)
@@ -89,7 +90,7 @@ func main() {
 				usage()
 				os.Exit(2)
 			}
-			run(name, fn, q)
+			run(os.Stdout, os.Stderr, name, fn, q)
 		}
 	}
 }
@@ -106,11 +107,13 @@ func resolve(name string) (func(experiments.Quality) string, error) {
 	return nil, fmt.Errorf("unknown experiment %q", name)
 }
 
-func run(name string, fn func(experiments.Quality) string, q experiments.Quality) {
+// run prints one experiment's tables to stdout and its wall time to
+// stderr, so the same command always prints the same stdout.
+func run(stdout, stderr io.Writer, name string, fn func(experiments.Quality) string, q experiments.Quality) {
 	start := time.Now()
-	out := fn(q)
-	fmt.Print(out)
-	fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+	fmt.Fprint(stdout, fn(q))
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stderr, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
 }
 
 func usage() {

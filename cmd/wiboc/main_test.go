@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+)
 
 // The CLI keeps three registries that must stay mutually consistent:
 // the runner and ablation maps and the two ordered execution lists.
@@ -68,5 +74,24 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := resolve("fig99"); err == nil {
 		t.Error("unknown experiment resolved without error")
+	}
+}
+
+// TestRunStdoutReproducible: the tables go to stdout and the wall time
+// to stderr, so two runs of one experiment print identical stdout.
+func TestRunStdoutReproducible(t *testing.T) {
+	var out [2]bytes.Buffer
+	var errOut bytes.Buffer
+	for i := range out {
+		run(&out[i], &errOut, "fig5", runners["fig5"], experiments.Smoke)
+	}
+	if out[0].Len() == 0 || !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatalf("two runs of fig5 printed different stdout:\n%s\n---\n%s", out[0].Bytes(), out[1].Bytes())
+	}
+	if strings.Contains(out[0].String(), "completed in") {
+		t.Errorf("stdout carries the wall time:\n%s", out[0].Bytes())
+	}
+	if got := strings.Count(errOut.String(), "[fig5 completed in "); got != 2 {
+		t.Errorf("stderr has %d wall-time lines, want 2:\n%s", got, errOut.Bytes())
 	}
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -23,12 +25,14 @@ var (
 	ErrBadRecords = errors.New("service: records do not match lease")
 )
 
-// Lease is one unit of distributed work: a contiguous run of a job's
-// design points plus everything a stateless worker needs to evaluate
-// them deterministically — the points themselves, the budget by name
-// (the budget registry is compiled into every binary), the sweep seed,
-// and the engine version so a mismatched worker can refuse instead of
-// silently producing different records. Workers never resolve a
+// Lease is one unit of distributed work: a chunk of a job's design
+// points (a group of points that share all their Monte-Carlo
+// sub-models is never split across leases) plus everything a stateless
+// worker needs to evaluate them deterministically — the points
+// themselves, the budget by name (the budget registry is compiled into
+// every binary), the sweep seed, and the engine version so a
+// mismatched worker can refuse instead of silently producing different
+// records. Workers never resolve a
 // scenario or compile a spec: the daemon does that once per job.
 type Lease struct {
 	ID    string `json:"id"`
@@ -39,11 +43,14 @@ type Lease struct {
 	Scenario string `json:"scenario"`
 	Budget   string `json:"budget"`
 	Seed     uint64 `json:"seed"`
-	// Start and End are the chunk's slot range [Start, End) in the
-	// job's batch, for logs and spans; len(Points) == End-Start.
+	// Start and End are the chunk's range [Start, End) of positions in
+	// its batch's dispatch order (see planChunks), for logs and spans;
+	// len(Points) == End-Start. The order is the batch order itself
+	// unless points share sub-models, so under the analytic budget they
+	// are the chunk's slots in the batch.
 	Start int `json:"start"`
 	End   int `json:"end"`
-	// Points are the chunk's design points: a grid slice for sweeps,
+	// Points are the chunk's design points: grid points for sweeps,
 	// bred individuals for optimizer generations. Each point's Index is
 	// the global evaluation index that keys its cache address.
 	Points []sweep.Point `json:"points"`
@@ -81,13 +88,16 @@ func (dr *distRun) finish() { dr.closeOnce.Do(func() { close(dr.finished) }) }
 // is cleaned up, so a late completion from an expired lease is still
 // accepted — determinism makes its records identical to any re-run.
 type chunkTask struct {
-	job   *job
-	dr    *distRun
+	job *job
+	dr  *distRun
+	// chunk is the task's range of positions in its batch's dispatch
+	// order: the Start and End its leases carry.
 	chunk sweep.Chunk
-	// pts are the chunk's design points (pts[k] is slot chunk.Start+k of
-	// the assembly buffer): a grid sub-slice for sweep jobs, bred
-	// individuals for optimizer generations.
-	pts []sweep.Point
+	// pts are the chunk's design points — grid points for sweep jobs,
+	// bred individuals for optimizer generations — and slots[k] is the
+	// assembly-buffer slot pts[k]'s record fills.
+	pts   []sweep.Point
+	slots []int
 
 	leaseID   string // current lease ("" while pending)
 	worker    string // current lease's worker
@@ -234,18 +244,36 @@ func (d *dispatcher) noteFleetTurnLocked(seconds float64) (straggler bool, media
 	return straggler, median
 }
 
-// enqueue adds a job's chunks to the pending queue. pts is the full
-// point list the chunks index into (the scenario grid, or one
-// optimizer generation).
-func (d *dispatcher) enqueue(j *job, dr *distRun, chunks []sweep.Chunk, pts []sweep.Point) {
+// enqueue adds a job's chunks to the pending queue. pts is the batch
+// (the scenario grid, or one optimizer generation), order its dispatch
+// order and chunks the ranges of order that planChunks cut.
+func (d *dispatcher) enqueue(j *job, dr *distRun, order []int, chunks []sweep.Chunk, pts []sweep.Point) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range chunks {
-		d.pending = append(d.pending, &chunkTask{job: j, dr: dr, chunk: c, pts: pts[c.Start:c.End]})
+		slots := order[c.Start:c.End]
+		d.pending = append(d.pending, &chunkTask{job: j, dr: dr, chunk: c, pts: gather(pts, slots), slots: slots})
 	}
 	if len(chunks) > 0 {
 		d.wakeLocked()
 	}
+}
+
+// gather returns the points at the given non-empty slots, in order. An
+// ascending run of slots, as every chunk of an analytic batch is, is
+// served as a sub-slice of pts without a copy.
+func gather(pts []sweep.Point, slots []int) []sweep.Point {
+	lo := slots[0]
+	for k, i := range slots {
+		if i != lo+k {
+			out := make([]sweep.Point, len(slots))
+			for k, i := range slots {
+				out[k] = pts[i]
+			}
+			return out
+		}
+	}
+	return pts[lo : lo+len(slots)]
 }
 
 // wakeLocked releases every lease request parked on the current ready
@@ -523,7 +551,9 @@ func (m *Manager) complete(leaseID string, recs []sweep.Record, spans []obs.Span
 		return err
 	}
 	t.done = true
-	copy(t.dr.recs[t.chunk.Start:t.chunk.End], recs)
+	for k, rec := range recs {
+		t.dr.recs[t.slots[k]] = rec
+	}
 	t.dr.remaining -= t.chunk.Len()
 	turnaround := now.Sub(ref.issuedAt).Seconds()
 	ws.noteCompletion(t.chunk.Len(), turnaround)
@@ -660,31 +690,83 @@ func (m *Manager) FailLease(leaseID, reason string) error {
 	return nil
 }
 
-// chunkRuns groups a sorted list of still-to-compute grid indices into
-// contiguous chunks of at most size points. Cache hits punch holes in
-// the grid, so each run between holes is partitioned independently by
-// sweep.Chunks and shifted to its grid offset.
-func chunkRuns(todo []int, size int) []sweep.Chunk {
-	var out []sweep.Chunk
-	for i := 0; i < len(todo); {
-		k := i + 1
-		for k < len(todo) && todo[k] == todo[k-1]+1 {
-			k++
-		}
-		for _, c := range sweep.Chunks(k-i, size) {
-			out = append(out, sweep.Chunk{Start: todo[i] + c.Start, End: todo[i] + c.End})
-		}
-		i = k
+// planChunks cuts the uncached slots of an n-slot batch into chunks.
+// todo lists those slots in ascending order and sigs[k] is slot
+// todo[k]'s sweep.ModelSignature; a nil sigs leaves every slot
+// unsigned.
+//
+// The dispatch order is the batch order, except that every slot with a
+// non-empty signature moves up behind the first slot that has the same
+// one, so each signature group is contiguous and the groups keep their
+// first-appearance order. Each run of uncached positions between cached
+// ones is then packed greedily into chunks of at most size points,
+// whole groups at a time. A group larger than size is a chunk of its
+// own: every piece of a split group would re-run the group's
+// sub-models, which dominate its cost, so splitting saves no latency.
+// Without signatures (the analytic budget) the order is the identity
+// and each run is cut into size-point pieces, as sweep.Chunks does.
+func planChunks(n int, todo []int, sigs []string, size int) (order []int, chunks []sweep.Chunk) {
+	order = make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	return out
+	uncached := make([]bool, n)
+	for _, i := range todo {
+		uncached[i] = true
+	}
+	// lead[i] is the slot whose place slot i takes in the order: slot i
+	// itself, and so the identity order, unless a signature is present.
+	lead := order
+	if slices.ContainsFunc(sigs, func(s string) bool { return s != "" }) {
+		lead = slices.Clone(order)
+		first := make(map[string]int)
+		for k, i := range todo {
+			if sigs[k] == "" {
+				continue
+			}
+			if f, ok := first[sigs[k]]; ok {
+				lead[i] = f
+			} else {
+				first[sigs[k]] = i
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lead[a], lead[b]) })
+	}
+
+	size = max(size, 1)
+	lo := 0 // the chunk being packed is [lo, p)
+	flush := func(p int) {
+		if p > lo {
+			chunks = append(chunks, sweep.Chunk{Start: lo, End: p})
+		}
+	}
+	for p := 0; p < n; {
+		// [p, q) is one group: a signature's slots, or a lone slot.
+		q := p + 1
+		for q < n && lead[order[q]] == lead[order[p]] {
+			q++
+		}
+		switch {
+		case !uncached[order[p]]:
+			flush(p)
+			lo = q
+		case q-lo > size:
+			flush(p)
+			lo = p
+		}
+		p = q
+	}
+	flush(n)
+	return order, chunks
 }
 
 // dispatchBatch evaluates one batch of points over the worker fleet: a
 // daemon-side cache pre-pass so stored points never travel, the rest
-// chunked and enqueued, records assembled in batch order. It blocks
-// until the batch completes, a worker fails a chunk (the error is the
-// failure report), or ctx is cancelled (the error is ctx's; the caller
-// is responsible for withdrawing the job's chunks via endJob). A batch
+// chunked by planChunks and enqueued, records assembled in batch
+// order. It blocks until the batch completes, a worker fails a chunk
+// (the error is the failure report), or ctx is cancelled (the error is
+// ctx's; the caller is responsible for withdrawing the job's chunks via
+// endJob). A batch
 // whose last chunk lands in the same instant ctx fires still counts as
 // completed, like the in-process path's `case err == nil` — the
 // finished channel is closed before any state read off dr, so the
@@ -704,6 +786,15 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 		}
 		todo = append(todo, i)
 	}
+	// Only a Monte-Carlo budget has sub-models to sign; an analytic
+	// batch goes to planChunks unsigned and keeps the batch order.
+	var sigs []string
+	if b := j.plan.Budget; b.BERSim || b.NoCSim {
+		sigs = make([]string, len(todo))
+		for k, i := range todo {
+			sigs[k] = sweep.ModelSignature(pts[i], b)
+		}
+	}
 	dr.remaining = len(todo)
 	cached := len(pts) - len(todo)
 	m.met.points(true, cached)
@@ -711,7 +802,8 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 	if len(todo) == 0 {
 		dr.finish()
 	} else {
-		m.dispatch.enqueue(j, dr, chunkRuns(todo, m.opts.ChunkPoints), pts)
+		order, chunks := planChunks(len(pts), todo, sigs, m.opts.ChunkPoints)
+		m.dispatch.enqueue(j, dr, order, chunks, pts)
 	}
 
 	select {

@@ -19,32 +19,6 @@ import (
 	"repro/internal/sweep/store"
 )
 
-func TestChunkRuns(t *testing.T) {
-	cases := []struct {
-		todo []int
-		size int
-		want []sweep.Chunk
-	}{
-		{nil, 4, nil},
-		{[]int{0, 1, 2, 3, 4}, 3, []sweep.Chunk{{Start: 0, End: 3}, {Start: 3, End: 5}}},
-		// Cache hits punch holes: runs on either side chunk independently.
-		{[]int{0, 1, 4, 5, 6}, 4, []sweep.Chunk{{Start: 0, End: 2}, {Start: 4, End: 7}}},
-		{[]int{2}, 4, []sweep.Chunk{{Start: 2, End: 3}}},
-	}
-	for _, c := range cases {
-		got := chunkRuns(c.todo, c.size)
-		if len(got) != len(c.want) {
-			t.Errorf("chunkRuns(%v, %d) = %v, want %v", c.todo, c.size, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("chunkRuns(%v, %d)[%d] = %v, want %v", c.todo, c.size, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
 // TestDistributedLifecycle is the acceptance test of the worker tier:
 // an httptest sweepd in distributed mode, two HTTP workers leasing
 // chunks of one job, a third "worker" that dies mid-lease, and the

@@ -7,7 +7,8 @@
 // an HTTP API; see NewHandler and docs/api.md.
 //
 // In distributed mode the manager stops evaluating in-process and
-// becomes a dispatcher: each job's grid is cut into sweep.Chunks,
+// becomes a dispatcher: each job's grid is cut into chunks that never
+// split a group of points sharing all their Monte-Carlo sub-models,
 // workers lease chunks (Lease), keep them alive (Heartbeat) and post
 // records back (Complete), and a worker that dies mid-chunk simply
 // stops heartbeating — its lease expires and the chunk is re-queued for
@@ -275,14 +276,16 @@ type Options struct {
 	// keeps the computed points themselves forever.
 	RetainJobs int
 	// Distributed switches job execution from the in-process sweep
-	// engine to the chunk dispatcher: jobs are cut into Chunks and
+	// engine to the chunk dispatcher: jobs are cut into chunks and
 	// served to workers over Lease/Heartbeat/Complete (in-process via
 	// RunWorker(m) or remote via cmd/sweepworker). Off, jobs run
 	// in-process exactly as before.
 	Distributed bool
-	// ChunkPoints caps how many grid points one lease carries
-	// (default 4). Smaller chunks spread a job across more workers;
-	// larger chunks amortise lease round-trips.
+	// ChunkPoints caps how many points one lease carries (default 4).
+	// Smaller chunks spread a job across more workers; larger chunks
+	// amortise lease round-trips. Points that share all their
+	// Monte-Carlo sub-models are never split across leases, so such a
+	// group larger than ChunkPoints is one lease of its own.
 	ChunkPoints int
 	// LeaseTTL is how long a worker owns a leased chunk before the
 	// dispatcher re-queues it for someone else; heartbeats extend it

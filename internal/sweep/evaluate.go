@@ -93,6 +93,30 @@ func Evaluate(scenario string, pt Point, stream *rng.Stream, b Budget) Record {
 	return withModels(rec, pointModels(des, pt.Spec, b), stream, b)
 }
 
+// ModelSignature names the Monte-Carlo sub-models the budget runs for
+// pt: their content keys, joined. Points with equal signatures share
+// every sub-model result, so evaluating them in one EvaluatePoints call
+// runs each sub-model once for all of them; the fleet's chunk planner
+// keeps such points in one chunk. It is "" under the analytic budget,
+// which designs no point here, and for a point the design pipeline
+// rejects.
+func ModelSignature(pt Point, b Budget) string {
+	if !(b.BERSim || b.NoCSim) {
+		return ""
+	}
+	_, des := designRecord("", pt)
+	if des == nil {
+		return ""
+	}
+	ms := pointModels(des, pt.Spec, b)
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = m.key()
+	}
+	// Keys quote their strings, so none holds a raw newline.
+	return strings.Join(keys, "\n")
+}
+
 // withModels runs the sub-models and applies them to rec. It is apart
 // from Evaluate because the interface calls move rec and the streams
 // they are handed to the heap: the analytic budget never gets here, so

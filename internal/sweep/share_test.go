@@ -176,6 +176,32 @@ func TestSubModelsShared(t *testing.T) {
 	}
 }
 
+// TestModelSignature: two points have equal signatures exactly when they
+// share every sub-model — here the code (latency budget) and the stack
+// load, not the butler flag. The analytic budget and a rejected point
+// have none.
+func TestModelSignature(t *testing.T) {
+	pts := shareScenario().Points()
+	for _, a := range pts {
+		for _, b := range pts {
+			same := a.Spec.LatencyBudgetBits == b.Spec.LatencyBudgetBits &&
+				a.Spec.StackInjectionRate == b.Spec.StackInjectionRate
+			sa, sb := ModelSignature(a, shareBudget()), ModelSignature(b, shareBudget())
+			if sa == "" || (sa == sb) != same {
+				t.Errorf("points %d and %d: signatures %q and %q, want equal = %t", a.Index, b.Index, sa, sb, same)
+			}
+		}
+		if sig := ModelSignature(a, AnalyticBudget()); sig != "" {
+			t.Errorf("point %d: analytic signature %q, want none", a.Index, sig)
+		}
+	}
+	bad := pts[0]
+	bad.Spec.Boards = 0
+	if sig := ModelSignature(bad, shareBudget()); sig != "" {
+		t.Errorf("rejected point: signature %q, want none", sig)
+	}
+}
+
 // TestSubModelSeedFromJobSeed: the job seed still roots every
 // sub-model, so a new seed draws a new BER sample.
 func TestSubModelSeedFromJobSeed(t *testing.T) {
