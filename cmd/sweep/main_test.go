@@ -288,3 +288,22 @@ func TestRunSpecLocalMatchesDaemon(t *testing.T) {
 		})
 	}
 }
+
+// TestRunDaemonUnencodableRecordsFails: every record of the
+// power-constrained example carries a +Inf noc_saturation, which the
+// daemon's record stream cannot encode, so a -daemon run must fail and
+// leave no output file rather than write an empty one.
+func TestRunDaemonUnencodableRecordsFails(t *testing.T) {
+	m := service.New(service.Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(service.NewHandler(m))
+	defer srv.Close()
+	out := filepath.Join(t.TempDir(), "remote.ndjson")
+	err := run([]string{"-spec", "../../examples/specs/power-constrained-stack.json", "-daemon", srv.URL, "-out", out})
+	if err == nil || !strings.Contains(err.Error(), "record 0 ") {
+		t.Fatalf("run = %v, want the daemon's error naming record 0", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("output file left behind (stat: %v)", err)
+	}
+}

@@ -55,11 +55,13 @@ func (hm *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 		r = r.WithContext(WithRequestID(r.Context(), id))
 
 		hm.inFlight.Inc()
+		// Deferred so a handler that aborts its response (panics with
+		// http.ErrAbortHandler) still leaves the gauge.
+		defer hm.inFlight.Dec()
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		hm.inFlight.Dec()
 
 		dur.Observe(elapsed.Seconds())
 		byClass[classIndex(sw.status())].Inc()

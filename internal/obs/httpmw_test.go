@@ -53,6 +53,24 @@ func TestMiddlewareCountsAndTimes(t *testing.T) {
 	}
 }
 
+func TestMiddlewareAbortLeavesInFlight(t *testing.T) {
+	hm := NewHTTPMetrics(NewRegistry(), nil)
+	h := hm.Wrap("GET /", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	func() {
+		defer func() {
+			if r := recover(); r != http.ErrAbortHandler {
+				t.Fatalf("recovered %v, want http.ErrAbortHandler", r)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+	}()
+	if got := hm.inFlight.Value(); got != 0 {
+		t.Fatalf("in-flight after an aborted request = %v, want 0", got)
+	}
+}
+
 func TestMiddlewareRequestID(t *testing.T) {
 	reg := NewRegistry()
 	hm := NewHTTPMetrics(reg, nil)

@@ -24,9 +24,9 @@
 // sweep.PointKey content addressing as grid sweeps, a re-run against a
 // warm result store evaluates zero new points.
 //
-// Spaces mirror the registered sweep scenarios (a ready-made Space per
-// scenario varying the dimensions that scenario's grid enumerates) plus
-// a wide "full-design" space over every SystemSpec knob at once.
+// Package spec declares the built-in spaces over its knob catalog and
+// registers them at init (one per sweep scenario, plus a wide
+// "full-design"), so a program that looks spaces up by name links spec.
 // Objectives are picked by name from an extensible catalog; the default
 // triple (tx-power, decode-latency, noc-saturation) matches the grid
 // engine's Pareto marking.

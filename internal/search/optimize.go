@@ -73,7 +73,7 @@ type Options struct {
 // service calls it at submission time, so a bad request fails fast
 // instead of after queueing.
 func (o *Options) Normalize() error {
-	if err := o.Space.validate(); err != nil {
+	if err := o.Space.Validate(); err != nil {
 		return err
 	}
 	if len(o.Objectives) == 0 {

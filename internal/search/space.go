@@ -34,10 +34,10 @@ type Param struct {
 	apply func(*core.SystemSpec, float64)
 }
 
-// NewParam constructs a parameter for dynamically compiled spaces (the
-// spec package builds them from user-submitted axis declarations).
-// apply receives the decoded value — for Bool parameters 0 or 1 — and
-// writes it into the spec being materialised.
+// NewParam constructs a parameter; package spec builds every space's
+// parameters with it from its knob catalog. apply receives the decoded
+// value — for Bool parameters 0 or 1 — and writes it into the spec
+// being materialised.
 func NewParam(name string, kind Kind, min, max float64, apply func(*core.SystemSpec, float64)) Param {
 	return Param{Name: name, Kind: kind, Min: min, Max: max, apply: apply}
 }
@@ -91,9 +91,7 @@ func (s Space) ScenarioName() string { return "optimize/" + s.Name }
 // Validate checks the space invariants. Register calls it (and panics)
 // for compiled-in spaces; dynamically compiled spaces that never enter
 // the registry call it directly and surface the error to the user.
-func (s Space) Validate() error { return s.validate() }
-
-func (s Space) validate() error {
+func (s Space) Validate() error {
 	if s.Name == "" || s.Base == nil || len(s.Params) == 0 {
 		return fmt.Errorf("search: space needs a name, a base spec and at least one parameter")
 	}
@@ -122,7 +120,7 @@ var (
 // Register adds a space to the catalog; it panics on an invalid or
 // duplicate space, since both are programming errors.
 func Register(s Space) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		panic(err.Error())
 	}
 	regMu.Lock()
@@ -158,119 +156,4 @@ func namesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Shared parameter constructors: each names one SystemSpec knob with
-// the widest bounds any space uses; narrower spaces restrict them.
-
-func pBoards(lo, hi float64) Param {
-	return Param{Name: "boards", Kind: Integer, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.Boards = int(v) }}
-}
-
-func pNodesPerBoard(lo, hi float64) Param {
-	return Param{Name: "nodes-per-board", Kind: Integer, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.NodesPerBoard = int(v) }}
-}
-
-func pBoardSpacing(lo, hi float64) Param {
-	return Param{Name: "board-spacing-m", Kind: Continuous, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.BoardSpacingM = v }}
-}
-
-func pLinkRate(lo, hi float64) Param {
-	return Param{Name: "link-rate-gbps", Kind: Continuous, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.LinkRateGbps = v }}
-}
-
-func pLatencyBudget(lo, hi float64) Param {
-	return Param{Name: "latency-budget-bits", Kind: Integer, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.LatencyBudgetBits = int(v) }}
-}
-
-func pStackModules(lo, hi float64) Param {
-	return Param{Name: "stack-modules", Kind: Integer, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.StackModules = int(v) }}
-}
-
-func pInjection(lo, hi float64) Param {
-	return Param{Name: "stack-injection-rate", Kind: Continuous, Min: lo, Max: hi,
-		apply: func(s *core.SystemSpec, v float64) { s.StackInjectionRate = v }}
-}
-
-func pButler() Param {
-	return Param{Name: "butler", Kind: Bool, Min: 0, Max: 1,
-		apply: func(s *core.SystemSpec, v float64) { s.Butler = v != 0 }}
-}
-
-// The ready-made spaces mirror the registered sweep scenarios: each one
-// relaxes the dimensions its namesake grid enumerates into continuous
-// bounds (so the optimizer can land between the grid's cells), keeping
-// the same base spec. full-design opens every knob at once.
-func init() {
-	Register(Space{
-		Name:        "paper-baseline",
-		Description: "the paper's 4-board box: decode-latency budget and beamforming realisation",
-		Base:        core.DefaultSpec,
-		Params:      []Param{pLatencyBudget(100, 400), pButler()},
-	})
-
-	Register(Space{
-		Name:        "dense-rack",
-		Description: "datacenter rack density: board count against per-link rate",
-		Base: func() core.SystemSpec {
-			spec := core.DefaultSpec()
-			spec.NodesPerBoard = 16
-			spec.BoardSpacingM = 0.05
-			spec.StackInjectionRate = 0.15
-			return spec
-		},
-		Params: []Param{pBoards(8, 16), pLinkRate(50, 200)},
-	})
-
-	Register(Space{
-		Name:        "embedded-box",
-		Description: "small sealed enclosure: board count against modest link rates",
-		Base: func() core.SystemSpec {
-			spec := core.DefaultSpec()
-			spec.BoardSpacingM = 0.05
-			spec.BoardEdgeM = 0.05
-			spec.NodesPerBoard = 4
-			spec.LatencyBudgetBits = 100
-			spec.StackModules = 16
-			spec.StackInjectionRate = 0.05
-			return spec
-		},
-		Params: []Param{pBoards(2, 3), pLinkRate(10, 50)},
-	})
-
-	Register(Space{
-		Name:        "manycore",
-		Description: "many-stack manycore: NiCS module count against injection load",
-		Base:        core.DefaultSpec,
-		Params:      []Param{pStackModules(64, 512), pInjection(0.05, 0.15)},
-	})
-
-	Register(Space{
-		Name:        "butler-vs-steered",
-		Description: "beamforming realisation against board spacing",
-		Base:        core.DefaultSpec,
-		Params:      []Param{pButler(), pBoardSpacing(0.05, 0.2)},
-	})
-
-	Register(Space{
-		Name:        "full-design",
-		Description: "every SystemSpec knob at once: the widest search the evaluator supports",
-		Base:        core.DefaultSpec,
-		Params: []Param{
-			pBoards(2, 16),
-			pNodesPerBoard(4, 16),
-			pBoardSpacing(0.05, 0.2),
-			pLinkRate(10, 200),
-			pLatencyBudget(100, 400),
-			pStackModules(16, 512),
-			pInjection(0.05, 0.15),
-			pButler(),
-		},
-	})
 }

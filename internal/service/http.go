@@ -177,17 +177,26 @@ func NewHandler(m *Manager) http.Handler {
 		// one buffer, written and flushed each time it passes
 		// recordBatchBytes and once at the end.
 		buf := make([]byte, 0, recordBatchBytes+2048)
-		for _, rec := range res.Records {
+		sent := false
+		for i, rec := range res.Records {
 			line, err := sweep.AppendRecordJSON(buf, rec)
 			if err != nil {
-				break // unencodable record: the stream ends before it
+				// An unencodable record must not read as a complete
+				// stream: a 500 while nothing is sent, else a broken
+				// transfer.
+				if sent {
+					panic(http.ErrAbortHandler)
+				}
+				writeAPIErrorAs(w, http.StatusInternalServerError, CodeInternal,
+					fmt.Errorf("record %d cannot be encoded: %w", i, err), nil)
+				return
 			}
 			buf = append(line, '\n')
 			if len(buf) >= recordBatchBytes {
 				if !writeBatch(w, flusher, buf) {
 					return // client went away mid-stream
 				}
-				buf = buf[:0]
+				buf, sent = buf[:0], true
 			}
 		}
 		if len(buf) > 0 {

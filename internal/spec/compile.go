@@ -170,26 +170,20 @@ func (s *Spec) Space() (search.Space, error) {
 	params := make([]search.Param, 0, len(s.Axes))
 	for i := range s.Axes {
 		ax := s.Axes[i]
-		k := knobs[ax.Name]
 		var p search.Param
 		switch ax.Kind {
-		case "continuous":
-			p = search.NewParam(ax.Name, search.Continuous, *ax.Min, *ax.Max,
-				func(sp *core.SystemSpec, v float64) { k.set(sp, v) })
-		case "integer":
-			p = search.NewParam(ax.Name, search.Integer, *ax.Min, *ax.Max,
-				func(sp *core.SystemSpec, v float64) { k.set(sp, v) })
-		case "bool":
-			p = search.NewParam(ax.Name, search.Bool, 0, 1,
-				func(sp *core.SystemSpec, v float64) { k.set(sp, v != 0) })
 		case "enum":
-			vals := ax.Values
+			k, vals := knobs[ax.Name], ax.Values
 			if len(vals) < 2 {
 				return search.Space{}, fmt.Errorf(
 					"spec: axis %q: a single-value enum cannot be searched; set it in \"base\" instead", ax.Name)
 			}
 			p = search.NewParam(ax.Name, search.Integer, 0, float64(len(vals)-1),
 				func(sp *core.SystemSpec, v float64) { k.set(sp, vals[int(v)]) })
+		case "bool":
+			p = knobParam(ax.Name, ax.Kind, 0, 1)
+		default:
+			p = knobParam(ax.Name, ax.Kind, *ax.Min, *ax.Max)
 		}
 		if !(p.Min < p.Max) {
 			return search.Space{}, fmt.Errorf(

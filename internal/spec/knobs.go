@@ -134,9 +134,10 @@ func ensurePower(s *core.SystemSpec) *core.PowerSpec {
 	return s.Power
 }
 
-// knobs is the catalog of spec-settable SystemSpec dimensions. Names
-// match the search package's parameter names where both exist, so a
-// spec reads the same whether it compiles to a grid or a search space.
+// knobs is the catalog of spec-settable SystemSpec dimensions. The
+// built-in search spaces (spaces.go) are bounds over these knobs, so a
+// search parameter is named by its knob and a spec reads the same
+// whether it compiles to a grid or a search space.
 var knobs = map[string]*knob{
 	"boards": {kind: knobInt, check: atLeast(1, " boards"),
 		set: func(s *core.SystemSpec, v any) { s.Boards = int(v.(float64)) }},

@@ -6,7 +6,9 @@
 // JSON document submitted over the API compiles to the same
 // sweep.Scenario and search.Space shapes the built-in registries
 // provide, so everything downstream (executor, dispatcher, cache,
-// fleet) runs user studies unchanged.
+// fleet) runs user studies unchanged. The built-in search spaces
+// themselves are declared here too (spaces.go), over the same knob
+// catalog.
 //
 // Two properties carry the caching contract:
 //

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/search"
+	_ "repro/internal/spec" // registers the built-in search spaces
 	"repro/internal/sweep"
 )
 
