@@ -36,7 +36,9 @@
 // trace and fleet read a running sweepd's observability endpoints:
 // trace prints a job's phase timeline (or, with -raw, its spans as
 // NDJSON), and fleet prints per-worker throughput profiles with the
-// straggler baseline.
+// straggler baseline. Every call to the daemon goes through
+// service.Client, the API's one Go client, so a daemon error reads the
+// same here as in a worker: status, stable code and message.
 //
 // Records are deterministic for a fixed seed: running with -workers 1
 // and -workers N yields byte-identical files, for grids and

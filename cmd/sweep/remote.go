@@ -4,18 +4,16 @@ package main
 // to a running sweepd and streams the records back, and sweep trace and
 // sweep fleet read the daemon's observability endpoints, so an operator
 // can ask "where did that job's wall time go" and "which workers are
-// pulling their weight" without leaving the CLI.
+// pulling their weight" without leaving the CLI. The HTTP calls are
+// service.Client's; this file holds the polling loop and the printing.
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/fsio"
@@ -27,26 +25,10 @@ import (
 // given). The records are byte-identical to a local run at the same
 // seed and budget — the daemon and its workers share the engine.
 func submitAndStream(base string, req service.Request, outPath string, timeout time.Duration) error {
-	base = strings.TrimRight(base, "/")
-	hc := &http.Client{Timeout: 60 * time.Second}
-
-	body, err := json.Marshal(req)
+	c := service.NewClient(base)
+	v, err := c.Submit(req)
 	if err != nil {
 		return err
-	}
-	resp, err := hc.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var v service.JobView
-	if resp.StatusCode != http.StatusAccepted {
-		defer resp.Body.Close()
-		return remoteError("submit", resp)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&v)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("submit: decoding response: %w", err)
 	}
 	what := v.Scenario
 	if v.Spec != "" {
@@ -64,7 +46,7 @@ func submitAndStream(base string, req service.Request, outPath string, timeout t
 				v.ID, v.State, timeout, base, v.ID)
 		}
 		time.Sleep(500 * time.Millisecond)
-		if err := getJSONInto(base+"/api/v1/jobs/"+v.ID, &v); err != nil {
+		if v, err = c.Get(v.ID); err != nil {
 			return err
 		}
 	}
@@ -74,20 +56,20 @@ func submitAndStream(base string, req service.Request, outPath string, timeout t
 	fmt.Printf("job %s done: %d points (%d cached, %d computed)\n",
 		v.ID, v.Progress.Total, v.Progress.Cached, v.Progress.Total-v.Progress.Cached)
 
-	recResp, err := hc.Get(base + "/api/v1/jobs/" + v.ID + "/records")
+	// The whole transfer, headers to last record, gets a minute.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	recs, err := c.Records(ctx, v.ID)
 	if err != nil {
 		return err
 	}
-	defer recResp.Body.Close()
-	if recResp.StatusCode != http.StatusOK {
-		return remoteError("records", recResp)
-	}
+	defer recs.Close()
 	if outPath == "" || outPath == "-" {
-		_, err = io.Copy(os.Stdout, recResp.Body)
+		_, err = io.Copy(os.Stdout, recs)
 		return err
 	}
 	if err := fsio.WriteFileAtomic(outPath, func(f *os.File) error {
-		_, err := io.Copy(f, recResp.Body)
+		_, err := io.Copy(f, recs)
 		return err
 	}); err != nil {
 		return err
@@ -110,23 +92,20 @@ func traceCmd(args []string) error {
 		return fmt.Errorf("usage: sweep trace [-daemon URL] [-raw] <job-id>")
 	}
 	jobID := fs.Arg(0)
-	base := strings.TrimRight(*daemon, "/")
+	c := service.NewClient(*daemon)
 
 	if *raw {
-		resp, err := http.Get(base + "/api/v1/jobs/" + jobID + "/trace")
+		spans, err := c.Trace(context.Background(), jobID)
 		if err != nil {
 			return err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return remoteError("trace", resp)
-		}
-		_, err = io.Copy(os.Stdout, resp.Body)
+		defer spans.Close()
+		_, err = io.Copy(os.Stdout, spans)
 		return err
 	}
 
-	var tl service.Timeline
-	if err := getJSONInto(base+"/api/v1/jobs/"+jobID+"/timeline", &tl); err != nil {
+	tl, err := c.Timeline(jobID)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("job %s  trace %s  state %s\n", tl.JobID, tl.TraceID, tl.State)
@@ -162,8 +141,8 @@ func fleetCmd(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: sweep fleet [-daemon URL]")
 	}
-	var st service.FleetStats
-	if err := getJSONInto(strings.TrimRight(*daemon, "/")+"/api/v1/fleet/stats", &st); err != nil {
+	st, err := service.NewClient(*daemon).FleetStats()
+	if err != nil {
 		return err
 	}
 	if len(st.Workers) == 0 {
@@ -181,41 +160,4 @@ func fleetCmd(args []string) error {
 			w.Stragglers, w.EWMAPointsPerSec, w.TurnaroundP50Seconds, w.TurnaroundP95Seconds)
 	}
 	return nil
-}
-
-// getJSONInto fetches url and decodes the JSON payload into v.
-func getJSONInto(url string, v any) error {
-	hc := &http.Client{Timeout: 30 * time.Second}
-	resp, err := hc.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return remoteError("fetch", resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// remoteError surfaces the daemon's error envelope
-// {"error":{"code":...,"message":...}}, tolerating the legacy
-// {"error":"..."} shape and bare bodies from older daemons.
-func remoteError(op string, resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
-		return fmt.Errorf("%s: %s: %s (%s)", op, resp.Status, env.Error.Message, env.Error.Code)
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &legacy) == nil && legacy.Error != "" {
-		return fmt.Errorf("%s: %s: %s", op, resp.Status, legacy.Error)
-	}
-	return fmt.Errorf("%s: %s: %s", op, resp.Status, strings.TrimSpace(string(raw)))
 }

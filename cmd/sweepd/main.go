@@ -57,6 +57,11 @@
 //	POST   /api/v1/workers/leases/{id}/fail
 //	GET    /metrics
 //
+// Every non-2xx response is the envelope {"error":{"code","message"}},
+// its status and code read from internal/service's one error table
+// (docs/api.md, "Error model"). The worker endpoints answer alike with
+// or without -distributed; only a distributed daemon has chunks.
+//
 // Observability: one metrics registry spans every layer — HTTP
 // middleware, job manager, chunk dispatcher and the result store — and
 // is served as Prometheus text exposition at GET /metrics. Logs are
@@ -177,9 +182,6 @@ func run(c config) error {
 			"dir", storeDir, "entries", stats.Entries, "segments", stats.Segments,
 			"shards", stats.Shards, "index_loaded", stats.IndexLoaded, "replayed", stats.Replayed)
 		opts.Cache = st
-		opts.StoreStats = func() (store.Stats, []store.Stats) {
-			return st.Stats(), st.ShardStats()
-		}
 	}
 	m := service.New(opts)
 

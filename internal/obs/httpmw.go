@@ -55,27 +55,36 @@ func (hm *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 		r = r.WithContext(WithRequestID(r.Context(), id))
 
 		hm.inFlight.Inc()
-		// Deferred so a handler that aborts its response (panics with
-		// http.ErrAbortHandler) still leaves the gauge.
-		defer hm.inFlight.Dec()
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
+		returned := false
+		// Deferred so a handler that panics (a stream aborted with
+		// http.ErrAbortHandler) is booked like any other request before
+		// the panic goes on to net/http; one that panics before writing
+		// anything sent no response and books as a 500.
+		defer func() {
+			elapsed := time.Since(start)
+			hm.inFlight.Dec()
+			status := sw.status()
+			if !returned && sw.code == 0 {
+				status = http.StatusInternalServerError
+			}
+			dur.Observe(elapsed.Seconds())
+			byClass[classIndex(status)].Inc()
+			// Guarded so a discarding or info-level logger costs nothing:
+			// the attribute boxing below is pure waste when debug is off.
+			if hm.logger.Enabled(r.Context(), slog.LevelDebug) {
+				hm.logger.Debug("http request",
+					"route", route,
+					"method", r.Method,
+					"path", r.URL.Path,
+					"status", status,
+					"duration", elapsed,
+					"request_id", id)
+			}
+		}()
 		next.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-
-		dur.Observe(elapsed.Seconds())
-		byClass[classIndex(sw.status())].Inc()
-		// Guarded so a discarding or info-level logger costs nothing:
-		// the attribute boxing below is pure waste when debug is off.
-		if hm.logger.Enabled(r.Context(), slog.LevelDebug) {
-			hm.logger.Debug("http request",
-				"route", route,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", sw.status(),
-				"duration", elapsed,
-				"request_id", id)
-		}
+		returned = true
 	})
 }
 

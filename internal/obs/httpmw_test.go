@@ -55,19 +55,35 @@ func TestMiddlewareCountsAndTimes(t *testing.T) {
 
 func TestMiddlewareAbortLeavesInFlight(t *testing.T) {
 	hm := NewHTTPMetrics(NewRegistry(), nil)
-	h := hm.Wrap("GET /", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	// A stream aborted mid-body, and a handler that panics before
+	// writing anything.
+	streamed := hm.Wrap("GET /stream", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("partial"))
 		panic(http.ErrAbortHandler)
 	}))
-	func() {
-		defer func() {
-			if r := recover(); r != http.ErrAbortHandler {
-				t.Fatalf("recovered %v, want http.ErrAbortHandler", r)
-			}
+	silent := hm.Wrap("GET /silent", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	for _, h := range []http.Handler{streamed, silent} {
+		func() {
+			defer func() {
+				if r := recover(); r != http.ErrAbortHandler {
+					t.Fatalf("recovered %v, want http.ErrAbortHandler", r)
+				}
+			}()
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
 		}()
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
-	}()
+	}
 	if got := hm.inFlight.Value(); got != 0 {
-		t.Fatalf("in-flight after an aborted request = %v, want 0", got)
+		t.Fatalf("in-flight after aborted requests = %v, want 0", got)
+	}
+	for _, c := range []struct{ route, class string }{{"GET /stream", "2xx"}, {"GET /silent", "5xx"}} {
+		if got := hm.requests.With(c.route, c.class).Value(); got != 1 {
+			t.Errorf("%s: %s count after an aborted request = %v, want 1", c.route, c.class, got)
+		}
+		if got := hm.duration.With(c.route).Count(); got != 1 {
+			t.Errorf("%s: duration observations after an aborted request = %v, want 1", c.route, got)
+		}
 	}
 }
 

@@ -388,9 +388,6 @@ func (m *Manager) Lease(worker string) (Lease, bool, error) {
 // parks again for the rest of its hold.
 func (m *Manager) lease(ctx context.Context, worker string) (Lease, bool, error) {
 	d := m.dispatch
-	if d == nil {
-		return Lease{}, false, nil
-	}
 	deadline := time.Now().Add(leaseHold)
 	var timer *time.Timer
 	for {
@@ -485,9 +482,6 @@ func (d *dispatcher) take(worker string) (Lease, bool, <-chan struct{}, time.Dur
 // should stop evaluating the chunk.
 func (m *Manager) Heartbeat(leaseID string) (time.Duration, error) {
 	d := m.dispatch
-	if d == nil {
-		return 0, ErrLeaseGone
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()
@@ -501,35 +495,24 @@ func (m *Manager) Heartbeat(leaseID string) (time.Duration, error) {
 	return d.ttl, nil
 }
 
-// Complete accepts a worker's evaluated records for a leased chunk,
-// folds them into the job and persists them in the shared store. It is
-// idempotent: completing an already-completed chunk is a no-op, and a
-// late completion under an expired lease is accepted as long as the
-// chunk is still wanted — the determinism contract guarantees the
-// records are identical to whatever a re-lease would produce.
-func (m *Manager) Complete(leaseID string, recs []sweep.Record) error {
-	return m.complete(leaseID, recs, nil)
-}
-
-// CompleteTraced is Complete plus the spans the worker emitted while
-// serving the chunk. The worker-supplied fields an operator could join
-// wrongly on are forced server-side — trace, job and worker identity
-// always come from the lease, never from the completion body — and the
-// span count is capped so a buggy worker cannot flush the ring.
-func (m *Manager) CompleteTraced(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
-	return m.complete(leaseID, recs, spans)
-}
-
 // maxWorkerSpans bounds how many spans one completion may add to the
 // collector: enough for the worker's lease/evaluate breakdown, far too
 // few to evict other jobs' traces.
 const maxWorkerSpans = 16
 
-func (m *Manager) complete(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
+// CompleteTraced accepts a worker's evaluated records for a leased
+// chunk, folds them into the job and persists them in the shared store,
+// and records the spans the worker emitted while serving the chunk (nil
+// for an untraced lease). It is idempotent: completing an
+// already-completed chunk is a no-op, and a late completion under an
+// expired lease is accepted as long as the chunk is still wanted — the
+// determinism contract guarantees the records are identical to whatever
+// a re-lease would produce. The worker-supplied span fields an operator
+// could join wrongly on are forced server-side — trace, job and worker
+// identity always come from the lease, never from the completion body —
+// and the span count is capped so a buggy worker cannot flush the ring.
+func (m *Manager) CompleteTraced(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
 	d := m.dispatch
-	if d == nil {
-		return ErrLeaseGone
-	}
 	d.mu.Lock()
 	ref, ok := d.leases[leaseID]
 	if !ok || ref.t.cancelled {
@@ -666,9 +649,6 @@ func validateChunk(t *chunkTask, recs []sweep.Record) error {
 // other chunks are withdrawn.
 func (m *Manager) FailLease(leaseID, reason string) error {
 	d := m.dispatch
-	if d == nil {
-		return ErrLeaseGone
-	}
 	d.mu.Lock()
 	ref, ok := d.leases[leaseID]
 	if !ok || ref.t.cancelled || ref.t.done {

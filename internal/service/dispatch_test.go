@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/sweep/store"
@@ -242,17 +243,17 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	}
 
 	// Wrong count, wrong index, wrong scenario: all rejected.
-	if err := m.Complete(l.ID, recs[:1]); !errors.Is(err, ErrBadRecords) {
+	if err := m.CompleteTraced(l.ID, recs[:1], nil); !errors.Is(err, ErrBadRecords) {
 		t.Fatalf("short completion error = %v, want ErrBadRecords", err)
 	}
 	mangled := append([]sweep.Record(nil), recs...)
 	mangled[0].Index = 99
-	if err := m.Complete(l.ID, mangled); !errors.Is(err, ErrBadRecords) {
+	if err := m.CompleteTraced(l.ID, mangled, nil); !errors.Is(err, ErrBadRecords) {
 		t.Fatalf("mangled-index completion error = %v, want ErrBadRecords", err)
 	}
 	mangled = append([]sweep.Record(nil), recs...)
 	mangled[0].Scenario = "embedded-box"
-	if err := m.Complete(l.ID, mangled); !errors.Is(err, ErrBadRecords) {
+	if err := m.CompleteTraced(l.ID, mangled, nil); !errors.Is(err, ErrBadRecords) {
 		t.Fatalf("mangled-scenario completion error = %v, want ErrBadRecords", err)
 	}
 
@@ -260,10 +261,10 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	if _, err := m.Heartbeat(l.ID); err != nil {
 		t.Fatalf("heartbeat after rejected completion: %v", err)
 	}
-	if err := m.Complete(l.ID, recs); err != nil {
+	if err := m.CompleteTraced(l.ID, recs, nil); err != nil {
 		t.Fatalf("valid completion: %v", err)
 	}
-	if err := m.Complete(l.ID, recs); err != nil {
+	if err := m.CompleteTraced(l.ID, recs, nil); err != nil {
 		t.Fatalf("duplicate completion not idempotent: %v", err)
 	}
 	l2 := leaseEventually(t, m, "hand")
@@ -272,7 +273,7 @@ func TestLeaseValidationAndIdempotency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Complete(l2.ID, recs2); err != nil {
+	if err := m.CompleteTraced(l2.ID, recs2, nil); err != nil {
 		t.Fatalf("second chunk's completion: %v", err)
 	}
 	waitState(t, m, v.ID, StateDone)
@@ -314,14 +315,14 @@ func TestLateCompletionCreditsOriginalWorker(t *testing.T) {
 	}
 
 	// The slow worker's late completion lands first and wins.
-	if err := m.Complete(slow.ID, recs); err != nil {
+	if err := m.CompleteTraced(slow.ID, recs, nil); err != nil {
 		t.Fatalf("late completion rejected: %v", err)
 	}
 	waitState(t, m, v.ID, StateDone)
 	// The re-lease's duplicate completion is a no-op either way: an
 	// idempotent OK if it races in before the finished job's lease table
 	// is torn down, gone afterwards. It must never be credited.
-	if err := m.Complete(fast.ID, recs); err != nil && !errors.Is(err, ErrLeaseGone) {
+	if err := m.CompleteTraced(fast.ID, recs, nil); err != nil && !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("re-lease duplicate completion: %v", err)
 	}
 
@@ -760,8 +761,10 @@ func (a *idleAPI) Lease(string) (Lease, bool, error) {
 	return Lease{}, false, nil
 }
 func (a *idleAPI) Heartbeat(string) (time.Duration, error) { return 0, ErrLeaseGone }
-func (a *idleAPI) Complete(string, []sweep.Record) error   { return ErrLeaseGone }
-func (a *idleAPI) FailLease(string, string) error          { return ErrLeaseGone }
+func (a *idleAPI) CompleteTraced(string, []sweep.Record, []obs.SpanRecord) error {
+	return ErrLeaseGone
+}
+func (a *idleAPI) FailLease(string, string) error { return ErrLeaseGone }
 
 // TestRunWorkerPacesEmptyLeases: an empty lease is followed by the rest
 // of the poll interval, never a full one on top of the daemon's hold.
@@ -820,7 +823,7 @@ func (a *pointlessAPI) Lease(string) (Lease, bool, error) {
 	}, true, nil
 }
 func (a *pointlessAPI) Heartbeat(string) (time.Duration, error) { return time.Minute, nil }
-func (a *pointlessAPI) Complete(string, []sweep.Record) error {
+func (a *pointlessAPI) CompleteTraced(string, []sweep.Record, []obs.SpanRecord) error {
 	a.completes.Add(1)
 	return nil
 }

@@ -12,40 +12,76 @@ import (
 // response carries exactly one of them in the error envelope; clients
 // switch on the code, never on message text, so messages stay free to
 // improve. Codes are append-only: removing or renaming one is a
-// breaking API change.
+// breaking API change. errorTable pairs each with its HTTP status.
 const (
 	// CodeBadRequest: the request shape or a named registry entry is
 	// invalid (unknown kind, scenario, space, objective or budget,
-	// malformed JSON body). HTTP 400.
+	// malformed JSON body, bad list query).
 	CodeBadRequest = "bad_request"
 	// CodeSpecInvalid: the inline spec document failed strict parsing,
 	// validation or compilation; the message names the offending field.
-	// HTTP 400.
 	CodeSpecInvalid = "spec_invalid"
 	// CodeNotFound: the job (or requested sub-resource, e.g. a trace on
 	// an untraced daemon, the store on a storeless one) does not exist.
-	// HTTP 404.
 	CodeNotFound = "not_found"
 	// CodeNotDone: the job exists but has not produced a result yet.
-	// HTTP 409.
 	CodeNotDone = "not_done"
 	// CodeLeaseGone: the lease is unknown, expired, superseded or its
-	// job was cancelled; the worker should drop the chunk. HTTP 410.
+	// job was cancelled; the worker should drop the chunk.
 	CodeLeaseGone = "lease_gone"
 	// CodeBadRecords: a completion's records do not match the leased
-	// chunk. HTTP 422.
+	// chunk.
 	CodeBadRecords = "bad_records"
 	// CodeShutdown: the manager is draining and refuses new work.
-	// HTTP 503.
 	CodeShutdown = "shutdown"
-	// CodeInternal: an unclassified server-side failure. HTTP 500.
+	// CodeInternal: an unclassified server-side failure.
 	CodeInternal = "internal"
 )
 
+// errorRow pairs a sentinel error with the HTTP status and code it
+// travels under.
+type errorRow struct {
+	err    error
+	status int
+	code   string
+}
+
+// errorTable is the v1 error contract, written once. The server answers
+// an error with the first row whose sentinel it wraps (classify); a
+// client reads a body that carries no code as the first row with its
+// status (decodeAPIError), so ErrBadRequest precedes ErrBadSpec; a
+// decoded envelope matches every sentinel of its code (APIError.Is);
+// and the OpenAPI document enumerates its codes. The last row, without
+// a sentinel, is the default for everything else.
+var errorTable = []errorRow{
+	{ErrShutdown, http.StatusServiceUnavailable, CodeShutdown},
+	{ErrBadRequest, http.StatusBadRequest, CodeBadRequest},
+	{ErrBadSpec, http.StatusBadRequest, CodeSpecInvalid},
+	{ErrUnknownJob, http.StatusNotFound, CodeNotFound},
+	{ErrNoTrace, http.StatusNotFound, CodeNotFound},
+	{ErrNoStore, http.StatusNotFound, CodeNotFound},
+	{ErrNotDone, http.StatusConflict, CodeNotDone},
+	{ErrLeaseGone, http.StatusGone, CodeLeaseGone},
+	{ErrBadRecords, http.StatusUnprocessableEntity, CodeBadRecords},
+	{nil, http.StatusInternalServerError, CodeInternal},
+}
+
+// findRow returns the first sentinel row match accepts, else the
+// default row.
+func findRow(match func(errorRow) bool) errorRow {
+	last := len(errorTable) - 1
+	for _, r := range errorTable[:last] {
+		if match(r) {
+			return r
+		}
+	}
+	return errorTable[last]
+}
+
 // APIError is one decoded v1 error envelope — the typed form of every
 // non-2xx response body. Client methods return it (wrapped) so callers
-// can switch on Code or errors.As for the structured fields instead of
-// parsing message strings.
+// can test it with errors.Is against the service's sentinels, or
+// errors.As it and switch on Code, instead of parsing message strings.
 type APIError struct {
 	// Status is the HTTP status the envelope arrived under (0 when the
 	// error was built server-side, where the status travels separately).
@@ -54,9 +90,6 @@ type APIError struct {
 	Code string `json:"code"`
 	// Message is the human-readable description.
 	Message string `json:"message"`
-	// Details carries optional structured context (e.g. the offending
-	// field of a rejected spec).
-	Details map[string]string `json:"details,omitempty"`
 }
 
 func (e *APIError) Error() string {
@@ -66,65 +99,49 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("api error (%s): %s", e.Code, e.Message)
 }
 
+// Is reports whether target is a sentinel of e's code, so a decoded
+// response matches the error the server classified it from:
+// errors.Is(err, ErrLeaseGone) holds for a 410 lease_gone, and a 404
+// matches ErrUnknownJob, ErrNoTrace and ErrNoStore alike.
+func (e *APIError) Is(target error) bool {
+	for _, r := range errorTable {
+		if r.err == target && r.code == e.Code {
+			return true
+		}
+	}
+	return false
+}
+
 // errorEnvelope is the wire shape of every non-2xx response:
-// {"error":{"code":"...","message":"...","details":{...}}}.
+// {"error":{"code":"...","message":"..."}}.
 type errorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
 // classify maps a service error to its HTTP status and stable code.
-// It is the single decision table behind every error response; handlers
-// never pick statuses ad hoc.
 func classify(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, ErrShutdown):
-		return http.StatusServiceUnavailable, CodeShutdown
-	case errors.Is(err, ErrBadSpec):
-		return http.StatusBadRequest, CodeSpecInvalid
-	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest, CodeBadRequest
-	case errors.Is(err, ErrUnknownJob), errors.Is(err, ErrNoTrace):
-		return http.StatusNotFound, CodeNotFound
-	case errors.Is(err, ErrNotDone):
-		return http.StatusConflict, CodeNotDone
-	case errors.Is(err, ErrLeaseGone):
-		return http.StatusGone, CodeLeaseGone
-	case errors.Is(err, ErrBadRecords):
-		return http.StatusUnprocessableEntity, CodeBadRecords
-	default:
-		return http.StatusInternalServerError, CodeInternal
-	}
+	r := findRow(func(r errorRow) bool { return errors.Is(err, r.err) })
+	return r.status, r.code
 }
 
-// writeAPIError is the one shared helper every handler routes non-2xx
-// responses through (tools/servicelint enforces this statically): it wraps
-// the error in the envelope under its classified status and code.
-// Handlers that know better than the classifier (e.g. a 400 for an
-// unreadable body) pass an explicit status and code via writeAPIErrorAs.
+// writeAPIError is the one helper every handler routes non-2xx
+// responses through (tools/servicelint enforces this statically): it
+// writes the error in the envelope under its classified status and
+// code.
 func writeAPIError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
-	writeAPIErrorAs(w, status, code, err, nil)
-}
-
-// writeAPIErrorAs writes the error envelope under an explicit status
-// and code, with optional structured details. It is the only place in
-// the package that hands a non-2xx status to writeJSON.
-func writeAPIErrorAs(w http.ResponseWriter, status int, code string, err error, details map[string]string) {
-	writeJSON(w, status, errorEnvelope{Error: APIError{
-		Code:    code,
-		Message: err.Error(),
-		Details: details,
-	}})
+	writeJSON(w, status, errorEnvelope{Error: APIError{Code: code, Message: err.Error()}})
 }
 
 // decodeAPIError turns a non-2xx response into a typed *APIError,
 // tolerating the legacy {"error":"message"} shape and bare bodies so a
-// new client degrades gracefully against an old daemon.
-func decodeAPIError(resp *http.Response, raw []byte) *APIError {
+// new client degrades gracefully against an old daemon or a proxy:
+// those take the code of their status's row.
+func decodeAPIError(status int, statusText string, raw []byte) *APIError {
 	var env errorEnvelope
 	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
 		e := env.Error
-		e.Status = resp.StatusCode
+		e.Status = status
 		return &e
 	}
 	var legacy struct {
@@ -135,28 +152,8 @@ func decodeAPIError(resp *http.Response, raw []byte) *APIError {
 		msg = legacy.Error
 	}
 	if msg == "" {
-		msg = resp.Status
+		msg = statusText
 	}
-	return &APIError{Status: resp.StatusCode, Code: codeForStatus(resp.StatusCode), Message: msg}
-}
-
-// codeForStatus back-fills a code for envelopes that arrived without
-// one (legacy daemons, proxies speaking plain text).
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeBadRequest
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusConflict:
-		return CodeNotDone
-	case http.StatusGone:
-		return CodeLeaseGone
-	case http.StatusUnprocessableEntity:
-		return CodeBadRecords
-	case http.StatusServiceUnavailable:
-		return CodeShutdown
-	default:
-		return CodeInternal
-	}
+	code := findRow(func(r errorRow) bool { return r.status == status }).code
+	return &APIError{Status: status, Code: code, Message: msg}
 }

@@ -42,9 +42,8 @@ import (
 //	GET    /api/v1/openapi.json      machine-readable contract generated from
 //	                                 the route table
 //
-// The worker tier (cmd/sweepworker) drives four more endpoints, live
-// only in distributed mode (a non-distributed daemon answers 204 to
-// lease requests and 410 to the leases/{id}/* calls):
+// The worker tier (cmd/sweepworker) drives four more endpoints; only a
+// distributed daemon has chunks to lease:
 //
 //	POST   /api/v1/workers/lease                 lease a chunk -> 200 Lease | 204 none within the 500ms hold
 //	POST   /api/v1/workers/leases/{id}/heartbeat extend the lease -> 200 | 410 gone
@@ -61,11 +60,9 @@ import (
 //	GET    /metrics                  Prometheus text exposition (0.0.4)
 //
 // Every non-2xx response is the unified error envelope
-// {"error":{"code":"...","message":"...","details":{...}}} with a
-// stable machine-readable code (see errors.go): 400 bad_request /
-// spec_invalid, 404 not_found, 409 not_done, 410 lease_gone,
-// 422 bad_records, 503 shutdown, 500 internal. docs/api.md is the full
-// reference.
+// {"error":{"code":"...","message":"..."}}, its status and stable
+// machine-readable code read from errorTable (errors.go). docs/api.md
+// is the full reference.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	hm := obs.NewHTTPMetrics(m.Metrics(), m.logger())
@@ -101,8 +98,7 @@ func NewHandler(m *Manager) http.Handler {
 	instrument(mux, hm, rt, "GET /api/v1/store", func(w http.ResponseWriter, r *http.Request) {
 		total, shards, ok := m.StoreStats()
 		if !ok {
-			writeAPIErrorAs(w, http.StatusNotFound, CodeNotFound,
-				fmt.Errorf("daemon is running without a result store"), nil)
+			writeAPIError(w, ErrNoStore)
 			return
 		}
 		if shards == nil {
@@ -120,8 +116,7 @@ func NewHandler(m *Manager) http.Handler {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("invalid request body: %w", err), nil)
+			writeAPIError(w, fmt.Errorf("%w: invalid request body: %w", ErrBadRequest, err))
 			return
 		}
 		v, err := m.Submit(req)
@@ -138,7 +133,7 @@ func NewHandler(m *Manager) http.Handler {
 	instrument(mux, hm, rt, "GET /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		page, err := listQueryOf(r)
 		if err != nil {
-			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest, err, nil)
+			writeAPIError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, m.ListPage(page))
@@ -187,8 +182,7 @@ func NewHandler(m *Manager) http.Handler {
 				if sent {
 					panic(http.ErrAbortHandler)
 				}
-				writeAPIErrorAs(w, http.StatusInternalServerError, CodeInternal,
-					fmt.Errorf("record %d cannot be encoded: %w", i, err), nil)
+				writeAPIError(w, fmt.Errorf("record %d cannot be encoded: %w", i, err))
 				return
 			}
 			buf = append(line, '\n')
@@ -208,8 +202,7 @@ func NewHandler(m *Manager) http.Handler {
 			Worker string `json:"worker"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil || req.Worker == "" {
-			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("lease request needs a worker name"), nil)
+			writeAPIError(w, fmt.Errorf("%w: lease request needs a worker name", ErrBadRequest))
 			return
 		}
 		l, ok, err := m.lease(r.Context(), req.Worker)
@@ -242,8 +235,7 @@ func NewHandler(m *Manager) http.Handler {
 		// few MBs); the cap keeps a buggy or rogue client from feeding
 		// the decoder an unbounded allocation.
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("invalid completion body: %w", err), nil)
+			writeAPIError(w, fmt.Errorf("%w: invalid completion body: %w", ErrBadRequest, err))
 			return
 		}
 		if err := m.CompleteTraced(r.PathValue("id"), req.Records, req.Spans); err != nil {
@@ -257,8 +249,7 @@ func NewHandler(m *Manager) http.Handler {
 			Error string `json:"error"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			writeAPIErrorAs(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("invalid failure body: %w", err), nil)
+			writeAPIError(w, fmt.Errorf("%w: invalid failure body: %w", ErrBadRequest, err))
 			return
 		}
 		if err := m.FailLease(r.PathValue("id"), req.Error); err != nil {
@@ -377,8 +368,8 @@ func instrument(mux *http.ServeMux, hm *obs.HTTPMetrics, rt *routeTable, pattern
 }
 
 // listQueryOf parses the GET /api/v1/jobs query string. Unknown state
-// or kind values are rejected rather than silently matching nothing,
-// so a typo reads as a 400 instead of an empty fleet.
+// or kind values are rejected (ErrBadRequest) rather than silently
+// matching nothing, so a typo reads as a 400 instead of an empty fleet.
 func listQueryOf(r *http.Request) (ListQuery, error) {
 	q := r.URL.Query()
 	lq := ListQuery{
@@ -389,17 +380,17 @@ func listQueryOf(r *http.Request) (ListQuery, error) {
 	switch lq.State {
 	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
 	default:
-		return ListQuery{}, fmt.Errorf("unknown state %q", lq.State)
+		return ListQuery{}, fmt.Errorf("%w: unknown state %q", ErrBadRequest, lq.State)
 	}
 	switch lq.Kind {
 	case "", KindSweep, KindOptimize:
 	default:
-		return ListQuery{}, fmt.Errorf("unknown kind %q", lq.Kind)
+		return ListQuery{}, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, lq.Kind)
 	}
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
-			return ListQuery{}, fmt.Errorf("limit must be a positive integer, got %q", raw)
+			return ListQuery{}, fmt.Errorf("%w: limit must be a positive integer, got %q", ErrBadRequest, raw)
 		}
 		lq.Limit = n
 	}

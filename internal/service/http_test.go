@@ -280,9 +280,7 @@ func TestStoreEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m := New(Options{Cache: st, StoreStats: func() (store.Stats, []store.Stats) {
-		return st.Stats(), st.ShardStats()
-	}})
+	m := New(Options{Cache: st})
 	defer m.Shutdown(context.Background())
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
@@ -319,8 +317,9 @@ func TestStoreEndpoint(t *testing.T) {
 		t.Fatalf("healthz cache_hit_rate = %v, want 0.5", health["cache_hit_rate"])
 	}
 
-	// A manager without a store answers 404 and reports no hit rate.
-	bare := New(Options{})
+	// A manager whose cache keeps no store counters answers 404 and
+	// reports no hit rate.
+	bare := New(Options{Cache: &memCache{}})
 	defer bare.Shutdown(context.Background())
 	bareSrv := httptest.NewServer(NewHandler(bare))
 	defer bareSrv.Close()

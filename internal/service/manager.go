@@ -10,7 +10,7 @@
 // becomes a dispatcher: each job's grid is cut into chunks that never
 // split a group of points sharing all their Monte-Carlo sub-models,
 // workers lease chunks (Lease), keep them alive (Heartbeat) and post
-// records back (Complete), and a worker that dies mid-chunk simply
+// records back (CompleteTraced), and a worker that dies mid-chunk simply
 // stops heartbeating — its lease expires and the chunk is re-queued for
 // someone else. Workers are stateless: the per-point rng.Split
 // determinism contract means any worker reproduces exactly the records
@@ -267,7 +267,8 @@ type Options struct {
 	// Each job additionally parallelizes across grid points.
 	JobWorkers int
 	// Cache, when non-nil, is threaded into every job's sweep.Config so
-	// all jobs dedup against one shared result store.
+	// all jobs dedup against one shared result store. One that keeps
+	// store counters, as *store.Sharded does, also serves StoreStats.
 	Cache sweep.Cache
 	// RetainJobs caps how many jobs (and their results) the manager
 	// keeps: once exceeded, the oldest terminal jobs are evicted at the
@@ -277,9 +278,9 @@ type Options struct {
 	RetainJobs int
 	// Distributed switches job execution from the in-process sweep
 	// engine to the chunk dispatcher: jobs are cut into chunks and
-	// served to workers over Lease/Heartbeat/Complete (in-process via
-	// RunWorker(m) or remote via cmd/sweepworker). Off, jobs run
-	// in-process exactly as before.
+	// served to workers over Lease/Heartbeat/CompleteTraced
+	// (in-process via RunWorker(m) or remote via cmd/sweepworker). Off,
+	// jobs run in-process and the worker API has nothing to lease.
 	Distributed bool
 	// ChunkPoints caps how many points one lease carries (default 4).
 	// Smaller chunks spread a job across more workers; larger chunks
@@ -293,11 +294,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// Clock stubs time.Now in tests (nil = time.Now).
 	Clock func() time.Time
-	// StoreStats, when non-nil, snapshots the backing result store's
-	// aggregate and per-shard counters. It powers GET /api/v1/store and
-	// the healthz cache-hit-rate field; a daemon running without a
-	// persistent store leaves it nil and the endpoint answers 404.
-	StoreStats func() (store.Stats, []store.Stats)
 	// Metrics is the registry the manager's metric families register on
 	// (nil = a private registry). cmd/sweepd passes one registry shared
 	// with the result store so GET /metrics exposes every layer.
@@ -331,8 +327,9 @@ type Manager struct {
 	// Tests replace it to control job timing.
 	evaluate func(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error)
 
-	// dispatch is non-nil in distributed mode: it owns the chunk queue
-	// and lease table served to workers.
+	// dispatch owns the chunk queue and lease table served to workers.
+	// Only a distributed manager enqueues chunks, but every manager
+	// answers the worker API through it.
 	dispatch *dispatcher
 
 	// started anchors the uptime gauge and the /healthz uptime field.
@@ -406,9 +403,9 @@ func New(opts Options) *Manager {
 			_, running := m.InFlight()
 			emit(float64(running))
 		})
+	m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
 	m.evaluate = m.evaluateInProcess
 	if opts.Distributed {
-		m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
 		m.evaluate = m.dispatchBatch
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -581,15 +578,22 @@ func (m *Manager) Get(id string) (JobView, error) {
 	return j.view(), nil
 }
 
+// ErrNoStore means the manager runs without a persistent result store,
+// so it has no store counters to report.
+var ErrNoStore = errors.New("service: daemon is running without a result store")
+
 // StoreStats snapshots the backing result store's aggregate and
-// per-shard counters. ok is false when the manager runs without a
-// persistent store (Options.StoreStats nil).
+// per-shard counters, read from Options.Cache when it keeps them (as
+// *store.Sharded does). ok is false for any other cache, or none.
 func (m *Manager) StoreStats() (total store.Stats, shards []store.Stats, ok bool) {
-	if m.opts.StoreStats == nil {
+	st, ok := m.opts.Cache.(interface {
+		Stats() store.Stats
+		ShardStats() []store.Stats
+	})
+	if !ok {
 		return store.Stats{}, nil, false
 	}
-	total, shards = m.opts.StoreStats()
-	return total, shards, true
+	return st.Stats(), st.ShardStats(), true
 }
 
 // maxListLimit caps one page of the jobs listing; requests asking for
@@ -807,7 +811,7 @@ func (m *Manager) execute(j *job) {
 				return
 			}
 			name, attrs := "evaluate", map[string]string(nil)
-			if m.dispatch != nil {
+			if m.opts.Distributed {
 				name, attrs = "dispatch", map[string]string{
 					"points": strconv.Itoa(len(batch)),
 					"cached": strconv.Itoa(cached),
@@ -846,11 +850,9 @@ func (m *Manager) execute(j *job) {
 		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.plan.Feasible)
 		return res, nil
 	}()
-	if m.dispatch != nil {
-		// Whatever way the run ends, withdraw any chunks still queued or
-		// leased and forget the job's lease ids.
-		m.dispatch.endJob(j)
-	}
+	// Whatever way the run ends, withdraw any chunks still queued or
+	// leased and forget the job's lease ids.
+	m.dispatch.endJob(j)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -116,9 +116,6 @@ func TestMetricsLifecycle(t *testing.T) {
 		LeaseTTL:    10 * time.Second,
 		Cache:       st,
 		Metrics:     reg,
-		StoreStats: func() (store.Stats, []store.Stats) {
-			return st.Stats(), st.ShardStats()
-		},
 	})
 	defer m.Shutdown(context.Background())
 	srv := httptest.NewServer(NewHandler(m))
@@ -233,18 +230,12 @@ func TestMetricsLifecycle(t *testing.T) {
 // identical resubmission hits every point, and healthz reports the
 // blended rate.
 func TestHealthzCacheHitRateTransition(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenSharded(t.TempDir(), 1, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m := New(Options{
-		JobWorkers: 1,
-		Cache:      st,
-		StoreStats: func() (store.Stats, []store.Stats) {
-			return st.Stats(), nil
-		},
-	})
+	m := New(Options{JobWorkers: 1, Cache: st})
 	defer m.Shutdown(context.Background())
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()

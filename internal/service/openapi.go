@@ -1,7 +1,7 @@
 package service
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -102,14 +102,14 @@ func openAPIDoc(rt *routeTable) map[string]any {
 		}
 		item[strings.ToLower(method)] = op
 	}
-	codes := []string{
-		CodeBadRequest, CodeSpecInvalid, CodeNotFound, CodeNotDone,
-		CodeLeaseGone, CodeBadRecords, CodeShutdown, CodeInternal,
+	var codes []string
+	for _, r := range errorTable {
+		codes = append(codes, r.code)
 	}
-	sort.Strings(codes)
-	codesAny := make([]any, len(codes))
-	for i, c := range codes {
-		codesAny[i] = c
+	slices.Sort(codes)
+	codesAny := []any{}
+	for _, c := range slices.Compact(codes) {
+		codesAny = append(codesAny, c)
 	}
 	return map[string]any{
 		"openapi": "3.0.3",
@@ -131,10 +131,6 @@ func openAPIDoc(rt *routeTable) map[string]any {
 							"properties": map[string]any{
 								"code":    map[string]any{"type": "string", "enum": codesAny},
 								"message": map[string]any{"type": "string"},
-								"details": map[string]any{
-									"type":                 "object",
-									"additionalProperties": map[string]any{"type": "string"},
-								},
 							},
 						},
 					},

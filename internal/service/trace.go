@@ -227,14 +227,11 @@ type FleetStats struct {
 }
 
 // FleetStats snapshots per-worker throughput profiles and the
-// straggler baseline. A non-distributed manager returns an empty
-// snapshot (no workers, zero samples).
+// straggler baseline. A worker appears once it has asked for a lease;
+// the turnaround figures stay empty until chunks complete.
 func (m *Manager) FleetStats() FleetStats {
 	out := FleetStats{Workers: []WorkerProfile{}, StragglerFactor: stragglerFactor}
 	d := m.dispatch
-	if d == nil {
-		return out
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()

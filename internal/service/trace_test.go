@@ -358,7 +358,7 @@ func TestStragglerDetection(t *testing.T) {
 		} else {
 			advance(10 * time.Millisecond)
 		}
-		if err := m.Complete(l.ID, recs); err != nil {
+		if err := m.CompleteTraced(l.ID, recs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

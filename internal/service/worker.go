@@ -27,17 +27,16 @@ type WorkerAPI interface {
 	// Heartbeat extends the lease, returning its new remaining
 	// lifetime, or ErrLeaseGone once the chunk was re-queued.
 	Heartbeat(leaseID string) (time.Duration, error)
-	// Complete posts the chunk's records. Idempotent on duplicates.
-	Complete(leaseID string, recs []sweep.Record) error
+	// TracedCompleter posts the chunk's records.
+	TracedCompleter
 	// FailLease reports an unevaluable chunk, failing its job.
 	FailLease(leaseID, reason string) error
 }
 
-// TracedCompleter is the optional WorkerAPI extension for completions
-// that ship worker-side spans with the records, so the daemon's trace
-// of a distributed job includes what happened inside each worker
-// process. Both *Manager and *Client implement it; a worker falls back
-// to plain Complete when its API (or the lease) carries no trace.
+// TracedCompleter posts a chunk's records together with the worker-side
+// spans of serving it (nil for an untraced lease), so the daemon's
+// trace of a distributed job includes what happened inside each worker
+// process. Idempotent on duplicates.
 type TracedCompleter interface {
 	CompleteTraced(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error
 }
@@ -214,11 +213,12 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 			// daemon discarded these records (job cancelled, or the
 			// chunk was re-leased and finished by someone else).
 			logger.Warn("lease gone at completion, records discarded")
-		case errors.Is(err, ErrBadRecords):
-			// The daemon rejected records this worker considers correct:
-			// the two binaries disagree on the records. Deterministic, so
-			// every retry and every re-lease would be rejected the same
-			// way — fail the job instead of bouncing the chunk forever.
+		case errors.Is(err, ErrBadRecords), errors.Is(err, errUnencodable):
+			// The daemon rejected records this worker considers correct
+			// (the two binaries disagree on the records), or the records
+			// cannot be put on the wire. Deterministic, so every retry
+			// and every re-lease would fail the same way — fail the job
+			// instead of bouncing the chunk forever.
 			logger.Error("records rejected, failing job", "error", err)
 			if ferr := api.FailLease(l.ID, err.Error()); ferr != nil && !errors.Is(ferr, ErrLeaseGone) {
 				logger.Warn("fail report not delivered", "error", ferr)
@@ -246,7 +246,7 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 var evalPoints = sweep.EvaluatePoints
 
 // workerSpans builds this chunk's worker-side spans; for an untraced
-// lease it returns nil and the completion degrades to plain Complete.
+// lease it returns nil and the completion carries records only.
 // The "worker" span covers lease receipt to post (parented under the
 // dispatcher's chunk span via l.SpanID); the "evaluate" span nested
 // inside it isolates pure engine time from queueing and transport.
@@ -270,19 +270,15 @@ func workerSpans(l Lease, worker string, leased, evalStart, evalEnd time.Time, p
 	}
 }
 
-// completeWithRetry posts records (and worker spans, when the API and
-// lease support tracing), retrying transient errors a few times.
-// ErrLeaseGone and ErrBadRecords are deterministic outcomes and
+// completeWithRetry posts records and worker spans (nil for an
+// untraced lease), retrying transient errors a few times. ErrLeaseGone,
+// ErrBadRecords and errUnencodable are deterministic outcomes and
 // returned immediately for the caller to classify.
 func completeWithRetry(ctx context.Context, api WorkerAPI, leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
-	post := api.Complete
-	if tc, ok := api.(TracedCompleter); ok && len(spans) > 0 {
-		post = func(id string, r []sweep.Record) error { return tc.CompleteTraced(id, r, spans) }
-	}
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		err = post(leaseID, recs)
-		if err == nil || errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrBadRecords) {
+		err = api.CompleteTraced(leaseID, recs, spans)
+		if err == nil || errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrBadRecords) || errors.Is(err, errUnencodable) {
 			return err
 		}
 		if !sleep(ctx, 100*time.Millisecond<<attempt) {

@@ -278,7 +278,8 @@ func AppendJSONString(dst []byte, s string) []byte {
 
 // AppendRecordsJSON appends a compact JSON array of recs — the
 // chunk-completion wire shape — to dst: json.Marshal(recs)'s bytes,
-// except that an empty or nil slice encodes as [].
+// except that an empty or nil slice encodes as []. An unencodable
+// record's error names its Index.
 func AppendRecordsJSON(dst []byte, recs []Record) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, r := range recs {
@@ -287,7 +288,7 @@ func AppendRecordsJSON(dst []byte, recs []Record) ([]byte, error) {
 		}
 		var err error
 		if dst, err = AppendRecordJSON(dst, r); err != nil {
-			return dst, err
+			return dst, fmt.Errorf("record %d: %w", r.Index, err)
 		}
 	}
 	return append(dst, ']'), nil

@@ -10,15 +10,14 @@
 //     pass its handler through a .Wrap(...) call, so hollowing out the
 //     helper is caught the same way as bypassing it.
 //   - Non-2xx responses in the error envelope. Every non-2xx body is
-//     {"error":{"code":...,"message":...,"details":...}}, and the only
-//     function that may hand a non-2xx status to the response writer is
-//     writeAPIErrorAs (writeAPIError delegates to it). A writeJSON or
-//     .WriteHeader call whose status is anything but a 2xx http.Status*
-//     selector or 2xx integer literal is a violation, outside
-//     writeAPIErrorAs and the writeJSON transport it bottoms out in
-//     (whose WriteHeader forwards a status already linted at its call
-//     site). classify() is the only error-to-status table, so handlers
-//     never compute a status at runtime.
+//     {"error":{"code":...,"message":...}}, and the only function that
+//     may hand a non-2xx status to the response writer is writeAPIError.
+//     A writeJSON or .WriteHeader call whose status is anything but a
+//     2xx http.Status* selector or 2xx integer literal is a violation,
+//     outside writeAPIError and the writeJSON transport it bottoms out
+//     in (whose WriteHeader forwards a status already linted at its call
+//     site). writeAPIError takes the status from the package's one error
+//     table, so handlers never compute a status at runtime.
 //
 // Usage:
 //
@@ -48,7 +47,7 @@ const (
 	// routeHelper is the one function allowed to register routes.
 	routeHelper = "instrument"
 	// errorHelper is the one function allowed to write non-2xx statuses.
-	errorHelper = "writeAPIErrorAs"
+	errorHelper = "writeAPIError"
 	// transport is the shared JSON writer errorHelper bottoms out in.
 	transport = "writeJSON"
 )

@@ -117,14 +117,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeAPIErrorAs(w http.ResponseWriter, status int, code, msg string) {
+func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]string{"code": code, "message": msg})
 }
 
 func ok(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, "x")
 	w.WriteHeader(204)
-	writeAPIErrorAs(w, http.StatusNotFound, "not_found", "no such job")
+	writeAPIError(w, http.StatusNotFound, "not_found", "no such job")
 }
 `)
 	// Three bypasses: a non-2xx selector, a non-2xx literal and a
