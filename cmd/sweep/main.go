@@ -22,9 +22,9 @@
 //
 // -spec replaces the registered name with a user-authored declarative
 // scenario spec (JSON; see docs/specs.md): its axes define the grid (or
-// the optimizer's search ranges), its constraints mark feasibility on
-// the Pareto front, and its budget (and objectives) apply unless -budget
-// (or -objectives) overrides them.
+// the optimizer's search ranges), its objectives and constraints draw
+// the Pareto front of either, and its budget (and, for optimize, its
+// objectives) apply unless -budget (or -objectives) overrides them.
 //
 // run and optimize turn their flags into a service.Request and resolve
 // it with service.Resolve, the rule sweepd applies to every submission:
@@ -145,7 +145,7 @@ func scenarioCatalog() string {
 func listSpaces() {
 	fmt.Println("registered search spaces:")
 	fmt.Print(spaceCatalog())
-	fmt.Println("objectives:", strings.Join(search.ObjectiveNames(), ", "))
+	fmt.Println("objectives:", strings.Join(sweep.ObjectiveNames(), ", "))
 }
 
 // spaceCatalog renders the search-space registry with each space's
@@ -255,6 +255,12 @@ func run(args []string) error {
 		return fmt.Errorf("missing -scenario or -spec (see 'sweep list' and docs/specs.md)")
 	}
 	if *daemon != "" {
+		switch {
+		case f.csvOut != "":
+			return fmt.Errorf("-csv cannot be combined with -daemon (the records stream to -out as NDJSON)")
+		case f.storeDir != "":
+			return fmt.Errorf("-store cannot be combined with -daemon (the daemon reads through its own store)")
+		}
 		return submitAndStream(*daemon, f.req, f.out, f.timeout)
 	}
 	plan, err := f.resolve()
@@ -265,7 +271,7 @@ func run(args []string) error {
 		fmt.Printf("spec %q -> scenario %s\n", plan.SpecName, plan.Scenario.Name)
 	}
 
-	cfg := sweep.Config{Workers: f.req.Workers, Seed: f.req.Seed, Budget: plan.Budget, Feasible: plan.Feasible}
+	cfg := sweep.Config{Workers: f.req.Workers, Seed: f.req.Seed, Budget: plan.Budget, Pareto: plan.Pareto}
 	st, err := openStore(f.storeDir)
 	if err != nil {
 		return err
@@ -292,8 +298,8 @@ func run(args []string) error {
 	for _, r := range res.Records {
 		fmt.Println(" ", r.Summary())
 	}
-	fmt.Printf("pareto front (ptx min, decode latency min, NoC saturation max): %d of %d points\n",
-		len(res.ParetoIndices), len(res.Records))
+	fmt.Printf("pareto front over %s: %d of %d points\n",
+		strings.Join(plan.Pareto.Names(), ", "), len(res.ParetoIndices), len(res.Records))
 	for _, i := range res.ParetoIndices {
 		fmt.Println("  ", res.Records[i].Summary())
 	}

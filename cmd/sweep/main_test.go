@@ -307,3 +307,86 @@ func TestRunDaemonUnencodableRecordsFails(t *testing.T) {
 		t.Fatalf("output file left behind (stat: %v)", err)
 	}
 }
+
+// TestRunDaemonRejectsLocalOutputs: -csv and -store act on a local run
+// only, so -daemon refuses them by name instead of ignoring them.
+func TestRunDaemonRejectsLocalOutputs(t *testing.T) {
+	for _, flag := range []string{"-csv", "-store"} {
+		err := run([]string{"-scenario", "paper-baseline", "-daemon", "http://127.0.0.1:1", flag, t.TempDir() + "/x"})
+		if err == nil || !strings.HasPrefix(err.Error(), flag+" cannot be combined with -daemon") {
+			t.Errorf("run -daemon %s = %v, want a usage error naming %s", flag, err, flag)
+		}
+	}
+}
+
+// TestRunSpecObjectivesSameFrontEverywhere: a spec that names its own
+// objectives gets the front over them, and the same records and flags
+// from a local run, an in-process sweepd and a distributed fleet.
+func TestRunSpecObjectivesSameFrontEverywhere(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
+	doc := `{"name": "own-objectives", "axes": [
+		{"name": "boards", "kind": "integer", "min": 2, "max": 4},
+		{"name": "latency-budget-bits", "kind": "enum", "values": [100, 200]},
+		{"name": "butler", "kind": "bool"}],
+		"objectives": ["tx-power", "noc-latency"]}`
+	if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-spec", specPath, "-seed", "2", "-workers", "2"}
+	local := filepath.Join(dir, "local.json")
+	if err := run(slices.Concat(args, []string{"-out", local})); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res sweep.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 4, 6, 8, 10}; !slices.Equal(res.ParetoIndices, want) {
+		t.Fatalf("front over (tx-power, noc-latency) = %v, want %v", res.ParetoIndices, want)
+	}
+	trio := slices.Clone(res.Records)
+	if got := (sweep.Pareto{}).Mark(trio); slices.Equal(got, res.ParetoIndices) {
+		t.Fatalf("the default trio marks the same front %v: the test cannot tell the objectives apart", got)
+	}
+	var want []byte
+	for _, rec := range res.Records {
+		if want, err = sweep.AppendRecordJSON(want, rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+	}
+
+	single := service.New(service.Options{JobWorkers: 1})
+	fleet := service.New(service.Options{JobWorkers: 1, Distributed: true, ChunkPoints: 5, LeaseTTL: time.Minute})
+	for name, m := range map[string]*service.Manager{"sweepd": single, "fleet": fleet} {
+		srv := httptest.NewServer(service.NewHandler(m))
+		wctx, stopWorker := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			service.RunWorker(wctx, service.NewClient(srv.URL), service.WorkerOptions{Name: "w", Poll: 5 * time.Millisecond, Workers: 1})
+		}()
+		remote := filepath.Join(dir, name+".ndjson")
+		err := run(slices.Concat(args, []string{"-daemon", srv.URL, "-out", remote}))
+		m.Shutdown(context.Background())
+		stopWorker()
+		wg.Wait()
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s records differ from the local run:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}

@@ -213,6 +213,18 @@ func (f *family) seriesFor(labelVals []string) *series {
 	return s
 }
 
+// deleteSeries drops the series keyed by the label values and reports
+// whether it existed. Handles obtained from it earlier keep counting
+// into a series no exposition shows.
+func (f *family) deleteSeries(labelVals []string) bool {
+	key := strings.Join(labelVals, "\x00")
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.series[key]
+	delete(f.series, key)
+	return ok
+}
+
 // sortedSeries returns the family's series sorted by label values, a
 // stable exposition order.
 func (f *family) sortedSeries() []*series {
@@ -250,6 +262,11 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 func (v *CounterVec) With(labelVals ...string) Counter {
 	return Counter{s: v.f.seriesFor(labelVals)}
 }
+
+// Delete drops the series for the label values, so a label that is
+// gone for good (a departed worker) stops growing the exposition. It
+// reports whether the series existed.
+func (v *CounterVec) Delete(labelVals ...string) bool { return v.f.deleteSeries(labelVals) }
 
 // Inc adds one.
 func (c Counter) Inc() { c.Add(1) }

@@ -34,6 +34,28 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterDelete: a deleted series leaves the exposition, its
+// siblings stay, and a later With starts it again from zero.
+func TestCounterDelete(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("test_worker_total", "per worker", "worker")
+	c.With("a").Add(3)
+	c.With("b").Inc()
+	if !c.Delete("a") || c.Delete("a") || c.Delete("never") {
+		t.Fatal("Delete reports existence wrongly")
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); strings.Contains(out, `worker="a"`) || !strings.Contains(out, `test_worker_total{worker="b"} 1`) {
+		t.Fatalf("exposition after delete:\n%s", out)
+	}
+	if got := c.With("a").Value(); got != 0 {
+		t.Fatalf("recreated series = %v, want 0", got)
+	}
+}
+
 func TestCounterPanicsOnDecrease(t *testing.T) {
 	reg := NewRegistry()
 	defer func() {

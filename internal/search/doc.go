@@ -27,7 +27,7 @@
 // Package spec declares the built-in spaces over its knob catalog and
 // registers them at init (one per sweep scenario, plus a wide
 // "full-design"), so a program that looks spaces up by name links spec.
-// Objectives are picked by name from an extensible catalog; the default
-// triple (tx-power, decode-latency, noc-saturation) matches the grid
-// engine's Pareto marking.
+// Objectives and constraints come as a sweep.Pareto, the rule grid
+// sweeps mark their fronts by; the ranking uses its cost rule and cost-
+// vector domination, and the final front is sweep.Pareto.Mark's.
 package search

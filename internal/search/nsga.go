@@ -24,18 +24,17 @@ type indiv struct {
 	crowd float64
 }
 
-// newIndiv builds one individual. feasible, when non-nil, is the user
-// constraint predicate: individuals failing it rank like evaluation
-// failures — their costs park at +Inf and any feasible individual
-// dominates them — so the search is steered away from, but can still
-// traverse, constraint-violating regions.
-func newIndiv(genome []float64, rec sweep.Record, objs []Objective, idx int, feasible func(sweep.Record) bool) *indiv {
-	ind := &indiv{genome: genome, rec: rec, idx: idx,
-		feasible: rec.Err == "" && (feasible == nil || feasible(rec))}
-	ind.cost = make([]float64, len(objs))
-	for k, o := range objs {
+// newIndiv builds one individual under the rule p, whose Objectives
+// are set. Individuals p does not admit rank like evaluation failures —
+// their costs park at +Inf and any feasible individual dominates them —
+// so the search is steered away from, but can still traverse,
+// constraint-violating regions.
+func newIndiv(genome []float64, rec sweep.Record, p sweep.Pareto, idx int) *indiv {
+	ind := &indiv{genome: genome, rec: rec, idx: idx, feasible: p.Admits(rec)}
+	ind.cost = make([]float64, len(p.Objectives))
+	for k, o := range p.Objectives {
 		if ind.feasible {
-			ind.cost[k] = o.cost(rec)
+			ind.cost[k] = o.Cost(rec)
 		} else {
 			// Infeasible designs carry zeroed metrics; park them at +Inf
 			// so they can never shadow a feasible point.
@@ -45,28 +44,15 @@ func newIndiv(genome []float64, rec sweep.Record, objs []Objective, idx int, fea
 	return ind
 }
 
-// dominates implements constrained Pareto domination in minimisation
-// form: a feasible individual dominates any infeasible one, two
-// infeasible individuals never dominate each other, and two feasible
-// ones compare objective-wise (no worse everywhere, strictly better
-// somewhere).
+// dominates implements constrained Pareto domination: a feasible
+// individual dominates any infeasible one, two infeasible individuals
+// never dominate each other, and two feasible ones compare by
+// sweep.Dominates over their cost vectors.
 func dominates(a, b *indiv) bool {
 	if a.feasible != b.feasible {
 		return a.feasible
 	}
-	if !a.feasible {
-		return false
-	}
-	better := false
-	for k := range a.cost {
-		if a.cost[k] > b.cost[k] {
-			return false
-		}
-		if a.cost[k] < b.cost[k] {
-			better = true
-		}
-	}
-	return better
+	return a.feasible && sweep.Dominates(a.cost, b.cost)
 }
 
 // sortFronts performs the fast non-dominated sort: it partitions pop

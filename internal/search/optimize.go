@@ -35,9 +35,6 @@ type Evaluator func(ctx context.Context, gen int, pts []sweep.Point) (recs []swe
 type Options struct {
 	// Space is the parameter region to search.
 	Space Space
-	// Objectives are the axes of the Pareto front (nil or empty selects
-	// DefaultObjectives).
-	Objectives []Objective
 	// Seed roots every random decision of the run.
 	Seed uint64
 	// Generations is how many generations are evaluated, the random
@@ -61,11 +58,11 @@ type Options struct {
 	// OnGeneration, when non-nil, observes each generation's summary as
 	// soon as its selection finishes, in generation order.
 	OnGeneration func(Generation)
-	// Feasible, when non-nil, adds user-spec constraints to the ranking:
-	// individuals whose records fail it are treated like evaluation
-	// failures (dominated by every feasible one, excluded from the final
-	// front). It never changes record bytes or cache keys.
-	Feasible func(sweep.Record) bool
+	// Pareto holds the objectives (nil = the default trio) and the
+	// user-spec constraints. Individuals that fail the constraints rank
+	// like evaluation failures: dominated by every feasible one and
+	// excluded from the final front.
+	Pareto sweep.Pareto
 }
 
 // Normalize fills defaults (objectives, generations, population,
@@ -76,9 +73,7 @@ func (o *Options) Normalize() error {
 	if err := o.Space.Validate(); err != nil {
 		return err
 	}
-	if len(o.Objectives) == 0 {
-		o.Objectives = DefaultObjectives()
-	}
+	o.Pareto.Objectives = o.Pareto.Axes()
 	if o.Generations == 0 {
 		o.Generations = 10
 	}
@@ -180,7 +175,7 @@ func Optimize(ctx context.Context, opts Options) (*Result, error) {
 
 	res := &Result{
 		Space:       opts.Space.Name,
-		Objectives:  objectiveNames(opts.Objectives),
+		Objectives:  opts.Pareto.Names(),
 		Seed:        opts.Seed,
 		Budget:      opts.Budget.Name,
 		Generations: opts.Generations,
@@ -223,14 +218,14 @@ func Optimize(ctx context.Context, opts Options) (*Result, error) {
 		}
 		offspring := make([]*indiv, len(recs))
 		for i, rec := range recs {
-			offspring[i] = newIndiv(genomes[i], rec, opts.Objectives, pts[i].Index, opts.Feasible)
+			offspring[i] = newIndiv(genomes[i], rec, opts.Pareto, pts[i].Index)
 		}
 		all = append(all, offspring...)
 		res.CachedPoints += cachedN
 		res.ComputedPoints += len(recs) - cachedN
 
 		pop = environmentalSelect(append(pop, offspring...), opts.Population)
-		summary := summarize(gen, len(recs), cachedN, pop, opts.Objectives)
+		summary := summarize(gen, len(recs), cachedN, pop, opts.Pareto.Objectives)
 		res.History = append(res.History, summary)
 		if opts.OnGeneration != nil {
 			opts.OnGeneration(summary)
@@ -245,39 +240,15 @@ func Optimize(ctx context.Context, opts Options) (*Result, error) {
 	for i, ind := range all {
 		res.Records[i] = ind.rec
 	}
-	res.FrontIndices = markFront(all, res.Records)
+	res.FrontIndices = opts.Pareto.Mark(res.Records)
 	return res, nil
-}
-
-// markFront computes the non-dominated set over all evaluated
-// individuals, sets Pareto on the corresponding records, and returns
-// their indices in evaluation order.
-func markFront(all []*indiv, recs []sweep.Record) []int {
-	var front []int
-	for i, ind := range all {
-		if !ind.feasible {
-			continue
-		}
-		dominated := false
-		for _, other := range all {
-			if other != ind && dominates(other, ind) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			recs[i].Pareto = true
-			front = append(front, i)
-		}
-	}
-	return front
 }
 
 // summarize builds one generation's summary from the post-selection
 // population.
-func summarize(gen, evaluated, cached int, pop []*indiv, objs []Objective) Generation {
+func summarize(gen, evaluated, cached int, pop []*indiv, objs []sweep.Metric) Generation {
 	g := Generation{Gen: gen, Evaluated: evaluated, Cached: cached}
-	// Fold best values in minimisation form: cost() maps NaN to +Inf,
+	// Fold best values in minimisation form: Cost maps NaN to +Inf,
 	// so a degenerate metric on one individual can never shadow a
 	// finite value on another (raw NaN would poison every comparison).
 	bestCost := make([]float64, len(objs))
@@ -295,7 +266,7 @@ func summarize(gen, evaluated, cached int, pop []*indiv, objs []Objective) Gener
 			g.Front = append(g.Front, rec)
 		}
 		for k, o := range objs {
-			if c := o.cost(ind.rec); c < bestCost[k] {
+			if c := o.Cost(ind.rec); c < bestCost[k] {
 				bestCost[k] = c
 			}
 		}
@@ -312,7 +283,7 @@ func summarize(gen, evaluated, cached int, pop []*indiv, objs []Objective) Gener
 		if o.Maximize {
 			v = -v
 		}
-		g.Best = append(g.Best, ObjectiveBest{Objective: o.Name, Value: v})
+		g.Best = append(g.Best, ObjectiveBest{Objective: o.Objective, Value: v})
 	}
 	return g
 }

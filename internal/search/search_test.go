@@ -38,32 +38,6 @@ func TestGetUnknownSpace(t *testing.T) {
 	}
 }
 
-func TestParseObjectives(t *testing.T) {
-	objs, err := ParseObjectives(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 3 || objs[0].Name != "tx-power" {
-		t.Fatalf("default objectives = %v", objectiveNames(objs))
-	}
-	if _, err := ParseObjectives([]string{"tx-power", "warp-drive"}); err == nil {
-		t.Error("unknown objective accepted")
-	}
-	if _, err := ParseObjectives([]string{"ber", "ber"}); err == nil {
-		t.Error("duplicate objective accepted")
-	}
-	if _, err := ParseObjectives([]string{"ber"}); err == nil {
-		t.Error("single objective accepted")
-	}
-	objs, err = ParseObjectives([]string{" NOC-Latency ", "spectral-efficiency"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if objs[0].Name != "noc-latency" || !objs[1].Maximize {
-		t.Fatalf("normalised parse = %+v", objs)
-	}
-}
-
 // mkIndiv builds a feasible individual with the given cost vector.
 func mkIndiv(idx int, cost ...float64) *indiv {
 	return &indiv{cost: cost, feasible: true, idx: idx}

@@ -316,10 +316,13 @@ func (d *dispatcher) requeueExpiredLocked(now time.Time) (next time.Time) {
 	// been heard from in a long while are dropped from the stats table.
 	// Default sweepworker names embed the PID, so a crash-looping or
 	// autoscaled fleet mints new names forever; without eviction the
-	// daemon's memory and GET /api/v1/fleet/stats would grow for life.
+	// daemon's memory, GET /api/v1/fleet/stats and the per-worker
+	// /metrics series would grow for life.
 	for name, ws := range d.fleet {
 		if now.Sub(ws.lastSeen) > fleetRetention {
 			delete(d.fleet, name)
+			d.met.workerPoints.Delete(name)
+			d.met.workerChunks.Delete(name)
 		}
 	}
 	return next

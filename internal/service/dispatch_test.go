@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -966,4 +967,71 @@ func leaseEventually(t *testing.T, m *Manager, worker string) Lease {
 	}
 	t.Fatal("no chunk became leasable")
 	return Lease{}
+}
+
+// TestFleetEvictionDropsWorkerSeries: a worker silent past
+// fleetRetention leaves /api/v1/fleet/stats and its per-worker series
+// leave /metrics in the same sweep, so restarting workers with fresh
+// names do not grow the exposition for life.
+func TestFleetEvictionDropsWorkerSeries(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		now = time.Unix(1_700_000_000, 0)
+	)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	m := New(Options{JobWorkers: 1, Distributed: true, ChunkPoints: 64, LeaseTTL: time.Minute, Clock: clock})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	run := func(scenario, worker string) {
+		v, err := m.Submit(Request{Scenario: scenario, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := leaseEventually(t, m, worker)
+		recs, _, err := sweep.EvaluatePoints(context.Background(), l.Scenario, l.Points,
+			sweep.Config{Workers: 1, Seed: l.Seed, Budget: sweep.AnalyticBudget()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CompleteTraced(l.ID, recs, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, v.ID, StateDone)
+	}
+	seen := func(worker string) (inFleet, inMetrics bool) {
+		var fs FleetStats
+		getJSON(t, srv, "/api/v1/fleet/stats", &fs)
+		for _, w := range fs.Workers {
+			inFleet = inFleet || w.Name == worker
+		}
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := `{worker="` + worker + `"}`
+		return inFleet, strings.Contains(string(body), "sweepd_worker_points_total"+label) &&
+			strings.Contains(string(body), "sweepd_worker_chunks_total"+label)
+	}
+
+	run("paper-baseline", "gone")
+	if f, mt := seen("gone"); !f || !mt {
+		t.Fatalf("fresh worker: in fleet %v, in metrics %v, want both", f, mt)
+	}
+	mu.Lock()
+	now = now.Add(fleetRetention + time.Minute)
+	mu.Unlock()
+	run("embedded-box", "live")
+	if f, mt := seen("gone"); f || mt {
+		t.Errorf("evicted worker: in fleet %v, in metrics %v, want neither", f, mt)
+	}
+	if f, mt := seen("live"); !f || !mt {
+		t.Errorf("live worker: in fleet %v, in metrics %v, want both", f, mt)
+	}
 }

@@ -260,12 +260,14 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/pareto", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		// Snapshot the view before fetching the result: if the job is
-		// evicted between the two lookups, the Result call fails loudly
-		// instead of the response silently losing its optimize
-		// annotations.
-		v, vErr := m.Get(id)
-		res, err := m.Result(id)
+		// The view first: if the job is evicted between the two
+		// lookups, the Result call fails loudly instead of the response
+		// silently losing its objectives.
+		v, err := m.Get(id)
+		var res *sweep.Result
+		if err == nil {
+			res, err = m.Result(id)
+		}
 		if err != nil {
 			writeAPIError(w, err)
 			return
@@ -275,16 +277,14 @@ func NewHandler(m *Manager) http.Handler {
 			front = append(front, res.Records[i])
 		}
 		payload := map[string]any{
-			"scenario": res.Scenario,
-			"seed":     res.Seed,
-			"budget":   res.Budget,
-			"front":    front,
+			"scenario":   res.Scenario,
+			"objectives": v.Objectives,
+			"seed":       res.Seed,
+			"budget":     res.Budget,
+			"front":      front,
 		}
-		// For optimizer jobs the front is relative to the requested
-		// objectives, not the grid engine's fixed trio; say which.
-		if vErr == nil && v.Kind == KindOptimize {
+		if v.Space != "" {
 			payload["space"] = v.Space
-			payload["objectives"] = v.Objectives
 		}
 		writeJSON(w, http.StatusOK, payload)
 	})
@@ -476,8 +476,8 @@ func handleKnobs(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"knobs":      knobs,
-		"metrics":    spec.Metrics(),
-		"objectives": search.ObjectiveNames(),
+		"metrics":    sweep.MetricNames(),
+		"objectives": sweep.ObjectiveNames(),
 	})
 }
 

@@ -86,14 +86,14 @@ type Request struct {
 	Priority int `json:"priority"`
 	// Workers bounds the job's point-evaluation pool (0 = NumCPU).
 	Workers int `json:"workers"`
+	// Objectives picks the Pareto axes by name (empty = the spec's,
+	// else the tx-power/decode-latency/noc-saturation trio).
+	Objectives []string `json:"objectives,omitempty"`
 
 	// Optimize-only fields (kind "optimize").
 
 	// Space names a registered search space.
 	Space string `json:"space,omitempty"`
-	// Objectives picks the Pareto axes by name (empty = the default
-	// tx-power/decode-latency/noc-saturation trio).
-	Objectives []string `json:"objectives,omitempty"`
 	// Generations and Population shape the search (0 = the search
 	// package defaults). Population must be even and at least 4.
 	Generations int `json:"generations,omitempty"`
@@ -211,6 +211,7 @@ func (j *job) view() JobView {
 		ID:          j.id,
 		Kind:        j.plan.Kind,
 		Spec:        j.plan.SpecName,
+		Objectives:  j.plan.Pareto.Names(),
 		Budget:      j.plan.Budget.Name,
 		Seed:        j.req.Seed,
 		Priority:    j.req.Priority,
@@ -229,9 +230,6 @@ func (j *job) view() JobView {
 	}
 	if j.plan.Kind == KindOptimize {
 		v.Space = j.plan.Search.Space.Name
-		for _, o := range j.plan.Search.Objectives {
-			v.Objectives = append(v.Objectives, o.Name)
-		}
 		v.Generations = j.plan.Search.Generations
 		v.Population = j.plan.Search.Population
 	}
@@ -847,7 +845,7 @@ func (m *Manager) execute(j *job) {
 			CachedPoints:   cached,
 			ComputedPoints: len(recs) - cached,
 		}
-		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.plan.Feasible)
+		res.ParetoIndices = j.plan.Pareto.Mark(res.Records)
 		return res, nil
 	}()
 	// Whatever way the run ends, withdraw any chunks still queued or

@@ -9,20 +9,21 @@ import (
 )
 
 // Plan is a Request resolved into the work it names: the grid or the
-// normalized search, the budget and the feasibility predicate. Submit
-// queues one; cmd/sweep executes one locally with sweep.Run or
-// search.Optimize, so a local run and a daemon job of the same request
-// are resolved by the same code.
+// normalized search, the budget and the Pareto rule. Submit queues one;
+// cmd/sweep executes one locally with sweep.Run or search.Optimize, so
+// a local run and a daemon job of the same request are resolved by the
+// same code.
 type Plan struct {
 	// Kind is KindSweep or KindOptimize (an empty request kind is a
 	// sweep).
 	Kind string
 	// Budget is the request's budget, else the spec's, else analytic.
 	Budget sweep.Budget
-	// Feasible is the spec's constraint conjunction (nil = admit every
-	// Err-free record). It shapes Pareto marking and optimizer ranking
-	// only, never record bytes or cache keys.
-	Feasible func(sweep.Record) bool
+	// Pareto is the rule the job's front is marked by: the request's
+	// objectives, else the spec's, else the default trio, and the
+	// spec's constraints. It shapes Pareto marking and optimizer
+	// ranking only, never record bytes or cache keys.
+	Pareto sweep.Pareto
 	// SpecName is the inline spec's own name, "" for registry jobs.
 	// Display only: the grid identity is the spec's content hash.
 	SpecName string
@@ -47,10 +48,10 @@ func (p Plan) ScenarioName() string {
 // Resolve turns a request into a Plan by the one rule every entry
 // point shares. A study is a registered name or an inline spec, never
 // both. Budget and objectives come from the request, else the spec,
-// else the defaults. Errors wrap ErrBadSpec when the spec is at fault
-// and ErrBadRequest otherwise. Resolve parses the spec once and
-// compiles it (or looks the name up) once; it never enumerates a
-// registered grid.
+// else the defaults, for sweeps and optimizations alike. Errors wrap
+// ErrBadSpec when the spec is at fault and ErrBadRequest otherwise.
+// Resolve parses the spec once and compiles it (or looks the name up)
+// once; it never enumerates a registered grid.
 func Resolve(req Request) (Plan, error) {
 	p := Plan{Kind: req.Kind}
 	if p.Kind == "" {
@@ -68,6 +69,9 @@ func Resolve(req Request) (Plan, error) {
 		if err != nil {
 			return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
+		if p.Pareto, err = sp.Pareto(); err != nil {
+			return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		}
 		userSpec = sp
 		p.SpecName = sp.Name
 	}
@@ -80,6 +84,11 @@ func Resolve(req Request) (Plan, error) {
 		return Plan{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	p.Budget = budget
+	if len(req.Objectives) > 0 || p.Pareto.Objectives == nil {
+		if p.Pareto.Objectives, err = sweep.ParseObjectives(req.Objectives); err != nil {
+			return Plan{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+	}
 	switch p.Kind {
 	case KindSweep:
 		if userSpec == nil {
@@ -92,41 +101,25 @@ func Resolve(req Request) (Plan, error) {
 		if err != nil {
 			return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
-		p.Scenario, p.Feasible = compiled.Scenario, compiled.Feasible
+		p.Scenario = compiled.Scenario
 		return p, nil
 	case KindOptimize:
 		var sp search.Space
-		var objs []search.Objective
 		if userSpec == nil {
 			if sp, err = search.Get(req.Space); err != nil {
 				return Plan{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
-			objs, err = search.ParseObjectives(req.Objectives)
-		} else {
-			if sp, err = userSpec.Space(); err != nil {
-				return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-			if p.Feasible, err = userSpec.FeasibleFunc(); err != nil {
-				return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-			if len(req.Objectives) > 0 {
-				objs, err = search.ParseObjectives(req.Objectives)
-			} else {
-				objs, err = userSpec.SearchObjectives()
-			}
-		}
-		if err != nil {
-			return Plan{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		} else if sp, err = userSpec.Space(); err != nil {
+			return Plan{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
 		p.Search = search.Options{
 			Space:       sp,
-			Objectives:  objs,
+			Pareto:      p.Pareto,
 			Seed:        req.Seed,
 			Generations: req.Generations,
 			Population:  req.Population,
 			Budget:      budget,
 			Workers:     req.Workers,
-			Feasible:    p.Feasible,
 		}
 		if err := p.Search.Normalize(); err != nil {
 			return Plan{}, fmt.Errorf("%w: %v", ErrBadRequest, err)

@@ -27,27 +27,36 @@ const bareSpec = `{"name": "bare", "axes": [{"name": "boards", "kind": "integer"
 // then the defaults; a spec never shares a request with a registered
 // name, and a request the engine cannot run is rejected before queueing.
 func TestResolvePrecedence(t *testing.T) {
-	defaults := objectiveNames(search.DefaultObjectives())
+	defaults := []string{"tx-power", "decode-latency", "noc-saturation"}
 	cases := []struct {
 		name     string
 		req      Request
 		err      error    // wanted sentinel (nil = resolves)
 		budget   string   // wanted plan budget
-		objs     []string // wanted objectives (optimize only)
+		objs     []string // wanted objectives
 		feasible bool     // wanted: a feasibility predicate is set
 	}{
 		{name: "request budget over spec budget",
 			req:    Request{Spec: json.RawMessage(resolveSpec), Budget: "analytic"},
-			budget: "analytic", feasible: true},
+			budget: "analytic", objs: []string{"tx-power", "noc-saturation"}, feasible: true},
 		{name: "spec budget when the request names none",
 			req:    Request{Spec: json.RawMessage(resolveSpec)},
-			budget: "smoke", feasible: true},
+			budget: "smoke", objs: []string{"tx-power", "noc-saturation"}, feasible: true},
 		{name: "analytic when neither names one",
 			req:    Request{Spec: json.RawMessage(bareSpec)},
-			budget: "analytic"},
+			budget: "analytic", objs: defaults},
 		{name: "analytic for a registered scenario",
 			req:    Request{Scenario: "paper-baseline"},
-			budget: "analytic"},
+			budget: "analytic", objs: defaults},
+		{name: "sweep request objectives over spec objectives",
+			req:    Request{Spec: json.RawMessage(resolveSpec), Objectives: []string{"ber", "tx-power"}},
+			budget: "smoke", objs: []string{"ber", "tx-power"}, feasible: true},
+		{name: "sweep request objectives for a registered scenario",
+			req:    Request{Scenario: "paper-baseline", Objectives: []string{"noc-latency", "tx-power"}},
+			budget: "analytic", objs: []string{"noc-latency", "tx-power"}},
+		{name: "unknown sweep objective",
+			req: Request{Scenario: "paper-baseline", Objectives: []string{"tx-power", "vibes"}},
+			err: ErrBadRequest},
 		{name: "request objectives over spec objectives",
 			req:    Request{Kind: KindOptimize, Spec: json.RawMessage(resolveSpec), Objectives: []string{"decode-latency", "noc-latency"}},
 			budget: "smoke", objs: []string{"decode-latency", "noc-latency"}, feasible: true},
@@ -97,28 +106,20 @@ func TestResolvePrecedence(t *testing.T) {
 			if p.Budget.Name != c.budget {
 				t.Errorf("budget = %q, want %q", p.Budget.Name, c.budget)
 			}
-			if (p.Feasible != nil) != c.feasible {
-				t.Errorf("feasibility predicate set = %v, want %v", p.Feasible != nil, c.feasible)
+			if (p.Pareto.Feasible != nil) != c.feasible {
+				t.Errorf("feasibility predicate set = %v, want %v", p.Pareto.Feasible != nil, c.feasible)
+			}
+			if got := p.Pareto.Names(); !slices.Equal(got, c.objs) {
+				t.Errorf("objectives = %v, want %v", got, c.objs)
 			}
 			if p.Kind == KindOptimize {
-				if got := objectiveNames(p.Search.Objectives); !slices.Equal(got, c.objs) {
-					t.Errorf("objectives = %v, want %v", got, c.objs)
-				}
 				if p.Search.Budget != p.Budget || p.Search.Generations == 0 || p.Search.Population == 0 {
 					t.Errorf("search options not normalized: %+v", p.Search)
 				}
-				if (p.Search.Feasible != nil) != c.feasible {
-					t.Errorf("search feasibility predicate set = %v, want %v", p.Search.Feasible != nil, c.feasible)
+				if got := p.Search.Pareto.Names(); !slices.Equal(got, c.objs) || (p.Search.Pareto.Feasible != nil) != c.feasible {
+					t.Errorf("search Pareto rule = %v (feasible set %v), want the plan's", got, p.Search.Pareto.Feasible != nil)
 				}
 			}
 		})
 	}
-}
-
-func objectiveNames(objs []search.Objective) []string {
-	names := make([]string, len(objs))
-	for i, o := range objs {
-		names[i] = o.Name
-	}
-	return names
 }

@@ -72,8 +72,12 @@ func TestSpecJobDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pareto, err := parsed.Pareto()
+	if err != nil {
+		t.Fatal(err)
+	}
 	single, err := sweep.Run(context.Background(), compiled.Scenario, sweep.Config{
-		Workers: 1, Seed: seed, Budget: compiled.Budget, Feasible: compiled.Feasible,
+		Workers: 1, Seed: seed, Budget: compiled.Budget, Pareto: pareto,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // Compiled is a spec materialised for execution: the dynamic scenario
-// (grid), the parsed budget and the constraint predicate. It carries
+// (grid) and the parsed budget. It carries
 // everything a daemon or worker needs to run the study without the
 // spec's scenario ever entering the compiled-in registry.
 type Compiled struct {
@@ -25,9 +25,6 @@ type Compiled struct {
 	Points []sweep.Point
 	// Budget is the parsed evaluation budget.
 	Budget sweep.Budget
-	// Feasible is the conjunction of the spec's constraints, nil when
-	// it has none.
-	Feasible func(sweep.Record) bool
 }
 
 // Compile validates the spec and materialises its grid. Every grid
@@ -43,15 +40,10 @@ func (s *Spec) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	feasible, err := s.FeasibleFunc()
-	if err != nil {
-		return nil, err
-	}
 	c := &Compiled{
-		Spec:     s,
-		Points:   pts,
-		Budget:   s.SweepBudget(),
-		Feasible: feasible,
+		Spec:   s,
+		Points: pts,
+		Budget: s.SweepBudget(),
 	}
 	c.Scenario = sweep.Scenario{
 		Name:        s.ScenarioName(),
@@ -202,17 +194,4 @@ func (s *Spec) Space() (search.Space, error) {
 		return search.Space{}, fmt.Errorf("spec: %w", err)
 	}
 	return sp, nil
-}
-
-// SearchObjectives returns the spec's objectives parsed against the
-// search catalog, or the catalog defaults when the spec names none.
-func (s *Spec) SearchObjectives() ([]search.Objective, error) {
-	if len(s.Objectives) == 0 {
-		return search.DefaultObjectives(), nil
-	}
-	objs, err := search.ParseObjectives(s.Objectives)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	return objs, nil
 }

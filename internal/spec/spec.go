@@ -77,8 +77,9 @@ type Spec struct {
 	// Axes are the varied dimensions; their order fixes grid
 	// enumeration order and so point indices.
 	Axes []Axis `json:"axes"`
-	// Objectives picks optimisation objectives from the search catalog
-	// (optimize jobs; at least two when set).
+	// Objectives picks the Pareto objectives of sweeps and
+	// optimizations from sweep's metric catalog (at least two when set;
+	// default tx-power, decode-latency, noc-saturation).
 	Objectives []string `json:"objectives,omitempty"`
 	// Constraints are feasibility expressions "metric op value" (e.g.
 	// "tx_power_dbm <= 20") applied when marking the Pareto front —
@@ -156,15 +157,8 @@ func (s *Spec) Validate() error {
 	if s.MaxPoints > 0 && gridSize > s.MaxPoints {
 		return fmt.Errorf("spec: grid has %d points, over the spec's max_points %d", gridSize, s.MaxPoints)
 	}
-	if len(s.Objectives) > 0 {
-		if _, err := search.ParseObjectives(s.Objectives); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	for _, c := range s.Constraints {
-		if _, err := ParseConstraint(c); err != nil {
-			return err
-		}
+	if _, err := s.Pareto(); err != nil {
+		return err
 	}
 	if _, err := sweep.ParseBudget(s.Budget); err != nil {
 		return fmt.Errorf("spec: %w", err)

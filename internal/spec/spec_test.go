@@ -60,16 +60,23 @@ func TestParseValid(t *testing.T) {
 		c.Points[0].Spec.Traffic == c.Points[1].Spec.Traffic {
 		t.Error("points share one traffic section")
 	}
-	if c.Feasible == nil {
+	p, err := s.Pareto()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Feasible == nil {
 		t.Fatal("constraints did not produce a predicate")
 	}
-	if c.Feasible(sweep.Record{TxPowerDBm: 25, NoCSaturation: 0.2}) {
+	if got := p.Names(); len(got) != 2 || got[0] != "tx-power" || got[1] != "noc-latency" {
+		t.Errorf("objectives = %v, want the spec's", got)
+	}
+	if p.Admits(sweep.Record{TxPowerDBm: 25, NoCSaturation: 0.2}) {
 		t.Error("tx_power_dbm 25 passed a <= 20 constraint")
 	}
-	if !c.Feasible(sweep.Record{TxPowerDBm: 10, NoCSaturation: 0.2}) {
+	if !p.Admits(sweep.Record{TxPowerDBm: 10, NoCSaturation: 0.2}) {
 		t.Error("feasible record rejected")
 	}
-	if c.Feasible(sweep.Record{TxPowerDBm: 10, NoCSaturation: 0.2, Err: "boom"}) {
+	if p.Admits(sweep.Record{TxPowerDBm: 10, NoCSaturation: 0.2, Err: "boom"}) {
 		t.Error("errored record counted feasible")
 	}
 }

@@ -75,7 +75,7 @@ func TestEvaluatePointsChunksMatchRun(t *testing.T) {
 				merged = append(merged, recs...)
 			}
 			// Chunk records carry Pareto unset; the merger marks the front.
-			MarkParetoFeasible(merged, nil)
+			Pareto{}.Mark(merged)
 			a, _ := json.Marshal(full.Records)
 			b, _ := json.Marshal(merged)
 			if string(a) != string(b) {

@@ -23,8 +23,11 @@
 //     tight enough.
 //
 //   - Structured results: one typed Record per point with JSON and CSV
-//     emitters, plus Pareto-front extraction over the three system
-//     objectives (transmit power, decode latency, NoC saturation).
+//     emitters, plus the record-metric catalog (pareto.go) and the one
+//     Pareto rule every job's front is marked by: a job names its
+//     objectives from the catalog (default transmit power, decode
+//     latency, NoC saturation) and its constraints bound catalog
+//     metrics.
 //
 // cmd/sweep exposes the registry and executor on the command line;
 // internal/experiments routes its figure grids through Map so the

@@ -21,17 +21,17 @@ func ExampleMap() {
 	// Output: [0 1 4 9 16 25]
 }
 
-// MarkParetoFeasible extracts the records that no other record beats
-// on all three objectives at once: transmit power (min), decode latency
-// (min), NoC saturation headroom (max). A nil predicate admits every
+// Pareto.Mark flags the records that no other record beats on every
+// objective at once. The zero rule is the default trio: transmit power
+// (min), decode latency (min), NoC saturation headroom (max), over every
 // record that evaluated without error.
-func ExampleMarkParetoFeasible() {
+func ExamplePareto_Mark() {
 	recs := []sweep.Record{
 		{Label: "low-power", TxPowerDBm: 10, DecodeLatencyBits: 200, NoCSaturation: 0.30},
 		{Label: "low-latency", TxPowerDBm: 12, DecodeLatencyBits: 100, NoCSaturation: 0.30},
 		{Label: "worse-everywhere", TxPowerDBm: 13, DecodeLatencyBits: 250, NoCSaturation: 0.25},
 	}
-	for _, i := range sweep.MarkParetoFeasible(recs, nil) {
+	for _, i := range (sweep.Pareto{}).Mark(recs) {
 		fmt.Println(recs[i].Label)
 	}
 	// Output:

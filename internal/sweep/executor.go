@@ -119,11 +119,9 @@ type Config struct {
 	// served from the Cache. It runs on worker goroutines and must be
 	// safe for concurrent use.
 	OnPoint func(index int, cached bool)
-	// Feasible, when non-nil, is the user-spec constraint predicate:
-	// records failing it are excluded from Pareto marking (they neither
-	// join nor dominate the front). It never changes record bytes or
-	// cache keys.
-	Feasible func(Record) bool
+	// Pareto is the rule Run marks the front by (the zero value is the
+	// default trio over every Err-free record).
+	Pareto Pareto
 }
 
 // Result is the structured outcome of one scenario sweep.
@@ -133,8 +131,7 @@ type Result struct {
 	Seed        uint64   `json:"seed"`
 	Budget      string   `json:"budget"`
 	Records     []Record `json:"records"`
-	// ParetoIndices lists the records on the Pareto front over
-	// (TxPowerDBm min, DecodeLatencyBits min, NoCSaturation max), in
+	// ParetoIndices lists the records on the job's Pareto front, in
 	// record order. The same records carry Pareto: true.
 	ParetoIndices []int `json:"pareto_indices"`
 	// CachedPoints and ComputedPoints split the grid by how each record
@@ -164,7 +161,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (*Result, error) {
 		CachedPoints:   cached,
 		ComputedPoints: len(recs) - cached,
 	}
-	res.ParetoIndices = MarkParetoFeasible(res.Records, cfg.Feasible)
+	res.ParetoIndices = cfg.Pareto.Mark(res.Records)
 	return res, nil
 }
 

@@ -46,8 +46,7 @@ type Record struct {
 	SimLatencyCI95   float64 `json:"sim_latency_ci95,omitempty"`
 	SimReplications  int     `json:"sim_replications,omitempty"`
 
-	// Pareto marks membership of the front over (TxPowerDBm min,
-	// DecodeLatencyBits min, NoCSaturation max).
+	// Pareto marks membership of the job's front (see Pareto.Mark).
 	Pareto bool `json:"pareto"`
 }
 

@@ -78,10 +78,11 @@ func (s *Store) failpoint(stage string) error {
 
 // Compact rewrites the store's segments keeping only live entries: the
 // current winner of every key whose engine version matches
-// sweep.EngineVersion. Entries predating engine stamping are kept —
-// they cannot be told apart from current ones, and compaction must
-// never drop a servable record. The store is locked for the duration;
-// concurrent Gets and Puts block until the swap completes.
+// sweep.EngineVersion. Entries predating engine stamping (engine 0) are
+// stale too: the key envelope has carried the engine version since
+// engine 2, so no current PointKey can reach them. The store is locked
+// for the duration; concurrent Gets and Puts block until the swap
+// completes.
 func (s *Store) Compact() (CompactResult, error) {
 	if s.met != nil {
 		defer func(start time.Time) {
@@ -130,7 +131,7 @@ func (s *Store) Compact() (CompactResult, error) {
 	var live []liveEntry
 	var stale []string
 	for key, e := range s.index {
-		if e.engine == 0 || e.engine == sweep.EngineVersion {
+		if e.engine == sweep.EngineVersion {
 			live = append(live, liveEntry{key, e})
 		} else {
 			stale = append(stale, key)

@@ -11,7 +11,8 @@ import (
 
 // TestCompactDropsStaleAndShadowed exercises the full GC contract on a
 // hand-built layout: a stale-engine entry, a key shadowed across two
-// segments, a legacy entry with no engine stamp (kept), and a current
+// segments, a legacy entry with no engine stamp (stale: its key
+// predates the engine version in the key envelope), and a current
 // entry. Compaction must keep exactly the servable set, reclaim the
 // rest, and leave a store that reopens through the persisted index.
 func TestCompactDropsStaleAndShadowed(t *testing.T) {
@@ -36,8 +37,8 @@ func TestCompactDropsStaleAndShadowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kept != 3 || res.DroppedStale != 1 || res.DroppedShadowed != 1 {
-		t.Fatalf("kept %d stale %d shadowed %d, want 3/1/1",
+	if res.Kept != 2 || res.DroppedStale != 2 || res.DroppedShadowed != 1 {
+		t.Fatalf("kept %d stale %d shadowed %d, want 2/2/1",
 			res.Kept, res.DroppedStale, res.DroppedShadowed)
 	}
 	if res.SegmentsBefore != 2 || res.SegmentsAfter != 1 {
@@ -55,13 +56,15 @@ func TestCompactDropsStaleAndShadowed(t *testing.T) {
 	}
 
 	// The live entries serve through the compacted store...
-	if _, ok := s.Get(stale); ok {
-		t.Fatal("stale-engine entry survived compaction")
+	for _, k := range []string{stale, legacy} {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("stale entry %s survived compaction", k)
+		}
 	}
 	for _, want := range []struct {
 		key string
 		rec sweep.Record
-	}{{keep, testRecord(0)}, {shadowed, newer}, {legacy, testRecord(3)}} {
+	}{{keep, testRecord(0)}, {shadowed, newer}} {
 		got, ok := s.Get(want.key)
 		if !ok || !reflect.DeepEqual(got, want.rec) {
 			t.Fatalf("key %s lost or changed by compaction", want.key)
@@ -79,8 +82,8 @@ func TestCompactDropsStaleAndShadowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if st := r.Stats(); st.IndexLoaded != 4 || st.Replayed != 0 {
-		t.Fatalf("index-loaded %d replayed %d after compaction, want 4 and 0",
+	if st := r.Stats(); st.IndexLoaded != 3 || st.Replayed != 0 {
+		t.Fatalf("index-loaded %d replayed %d after compaction, want 3 and 0",
 			st.IndexLoaded, st.Replayed)
 	}
 	if got, ok := r.Get(shadowed); !ok || !reflect.DeepEqual(got, newer) {
@@ -92,8 +95,8 @@ func TestCompactDropsStaleAndShadowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Kept != 4 || res2.DroppedStale != 0 || res2.DroppedShadowed != 0 {
-		t.Fatalf("second pass kept %d stale %d shadowed %d, want 4/0/0",
+	if res2.Kept != 3 || res2.DroppedStale != 0 || res2.DroppedShadowed != 0 {
+		t.Fatalf("second pass kept %d stale %d shadowed %d, want 3/0/0",
 			res2.Kept, res2.DroppedStale, res2.DroppedShadowed)
 	}
 }

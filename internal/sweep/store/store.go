@@ -54,10 +54,10 @@ import (
 const DefaultSegmentBytes = 8 << 20
 
 // entry is one persisted line: a content address, the engine version
-// that computed it, and the record. Engine is omitted when zero so
-// segments written before engine stamping replay unchanged; Compact
-// treats such legacy entries as current (dropping them could discard
-// an entire pre-upgrade store that is still perfectly servable).
+// that computed it, and the record. Engine is zero on lines written
+// before engine stamping; they still replay, but their keys predate the
+// engine version in the key envelope, so no lookup reaches them and
+// Compact drops them as stale.
 type entry struct {
 	Key    string          `json:"key"`
 	Engine int             `json:"engine,omitempty"`
@@ -389,10 +389,8 @@ func (s *Store) put(key string, rec sweep.Record) bool {
 	line := make([]byte, 0, 512)
 	line = append(line, `{"key":`...)
 	line = sweep.AppendJSONString(line, key)
-	if sweep.EngineVersion != 0 {
-		line = append(line, `,"engine":`...)
-		line = strconv.AppendInt(line, int64(sweep.EngineVersion), 10)
-	}
+	line = append(line, `,"engine":`...)
+	line = strconv.AppendInt(line, int64(sweep.EngineVersion), 10)
 	line = append(line, `,"record":`...)
 	var merr error
 	if line, merr = sweep.AppendRecordJSON(line, rec); merr == nil {

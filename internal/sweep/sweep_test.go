@@ -210,7 +210,7 @@ func TestMarkParetoDominance(t *testing.T) {
 		{TxPowerDBm: 10, DecodeLatencyBits: 100, NoCSaturation: 0.4}, // trade
 		{Err: "infeasible", TxPowerDBm: 0, DecodeLatencyBits: 0},     // excluded
 	}
-	front := MarkParetoFeasible(recs, nil)
+	front := Pareto{}.Mark(recs)
 	want := []int{0, 2}
 	if len(front) != len(want) || front[0] != want[0] || front[1] != want[1] {
 		t.Fatalf("front = %v, want %v", front, want)
@@ -238,16 +238,15 @@ func TestMarkParetoEdgeCases(t *testing.T) {
 		{Err: "rejected", TxPowerDBm: nan, DecodeLatencyBits: nan},    // 6: infeasible and NaN
 	}
 
-	// Every comparison against a NaN field is false, so a NaN record is
-	// never "worse" on that axis: record 2 beats record 1 on latency and
-	// is itself unbeatable on power, and the all-NaN record 5 cannot be
-	// strictly beaten anywhere. Both join the front — deterministically.
-	// Exact ties (0 and 3) never dominate each other, so both stay.
-	// Infeasible records stay out no matter how seductive their zeroed
-	// or NaN metrics look.
-	want := []int{0, 2, 3, 5}
+	// The cost rule makes a NaN metric +Inf, the worst value on its
+	// axis: record 0 matches record 2 on latency and saturation and
+	// beats its NaN power, and beats the all-NaN record 5 everywhere,
+	// so neither joins the front. Exact ties (0 and 3) never dominate
+	// each other, so both stay. Infeasible records stay out no matter
+	// how seductive their zeroed or NaN metrics look.
+	want := []int{0, 3}
 	for trial := 0; trial < 3; trial++ {
-		front := MarkParetoFeasible(recs, nil)
+		front := Pareto{}.Mark(recs)
 		if len(front) != len(want) {
 			t.Fatalf("trial %d: front = %v, want %v", trial, front, want)
 		}
