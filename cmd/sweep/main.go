@@ -8,7 +8,7 @@
 //	sweep list
 //	sweep spaces
 //	sweep run {-scenario <name> | -spec file.json} [-daemon URL]
-//	          [-out results.json] [-csv results.csv]
+//	          [-objectives a,b,c] [-out results.json] [-csv results.csv]
 //	          [-workers N] [-seed S] [-budget analytic|smoke|standard]
 //	          [-timeout 10m] [-store dir]
 //	sweep optimize {-space <name> | -spec file.json} [-objectives a,b,c]
@@ -23,8 +23,8 @@
 // -spec replaces the registered name with a user-authored declarative
 // scenario spec (JSON; see docs/specs.md): its axes define the grid (or
 // the optimizer's search ranges), its objectives and constraints draw
-// the Pareto front of either, and its budget (and, for optimize, its
-// objectives) apply unless -budget (or -objectives) overrides them.
+// the Pareto front of either, and its budget and objectives apply
+// unless -budget or -objectives overrides them.
 //
 // run and optimize turn their flags into a service.Request and resolve
 // it with service.Resolve, the rule sweepd applies to every submission:
@@ -172,14 +172,15 @@ func spaceCatalog() string {
 // through the daemon's own precedence rule.
 type jobFlags struct {
 	*flag.FlagSet
-	req                             service.Request
-	specPath, out, csvOut, storeDir string
-	timeout                         time.Duration
+	req                                         service.Request
+	specPath, objectives, out, csvOut, storeDir string
+	timeout                                     time.Duration
 }
 
 func newJobFlags(name, kind string) *jobFlags {
 	f := &jobFlags{FlagSet: flag.NewFlagSet(name, flag.ExitOnError), req: service.Request{Kind: kind}}
 	f.StringVar(&f.specPath, "spec", "", "declarative scenario spec file (JSON; see docs/specs.md)")
+	f.StringVar(&f.objectives, "objectives", "", "comma-separated objective names the Pareto front is drawn over (default: the spec's, else tx-power,decode-latency,noc-saturation)")
 	f.StringVar(&f.out, "out", "", "JSON output path ('-' for stdout)")
 	f.StringVar(&f.csvOut, "csv", "", "optional CSV output path (one row per evaluated point)")
 	f.IntVar(&f.req.Workers, "workers", 0, "worker pool size (0 = NumCPU); results do not depend on it")
@@ -190,10 +191,17 @@ func newJobFlags(name, kind string) *jobFlags {
 	return f
 }
 
-// parse reads the flags, and the -spec document into the request.
+// parse reads the flags, and the -objectives list and the -spec
+// document into the request.
 func (f *jobFlags) parse(args []string) error {
-	if err := f.Parse(args); err != nil || f.specPath == "" {
+	if err := f.Parse(args); err != nil {
 		return err
+	}
+	if f.objectives != "" {
+		f.req.Objectives = strings.Split(f.objectives, ",")
+	}
+	if f.specPath == "" {
+		return nil
 	}
 	raw, err := os.ReadFile(f.specPath)
 	if err == nil && len(raw) == 0 {
@@ -312,7 +320,6 @@ func run(args []string) error {
 func optimize(args []string) error {
 	f := newJobFlags("optimize", service.KindOptimize)
 	f.StringVar(&f.req.Space, "space", "", "search space name (see 'sweep spaces')")
-	objectivesCSV := f.String("objectives", "", "comma-separated objective names (default: the spec's, else tx-power,decode-latency,noc-saturation)")
 	f.IntVar(&f.req.Generations, "generations", 0, "generations to evolve (0 = default)")
 	f.IntVar(&f.req.Population, "population", 0, "individuals per generation, even and >= 4 (0 = default)")
 	if err := f.parse(args); err != nil {
@@ -320,9 +327,6 @@ func optimize(args []string) error {
 	}
 	if f.req.Space == "" && f.specPath == "" {
 		return fmt.Errorf("missing -space or -spec (see 'sweep spaces' and docs/specs.md)")
-	}
-	if *objectivesCSV != "" {
-		f.req.Objectives = strings.Split(*objectivesCSV, ",")
 	}
 	plan, err := f.resolve()
 	if err != nil {
@@ -458,7 +462,7 @@ usage:
   sweep list
   sweep spaces
   sweep run {-scenario <name> | -spec file.json} [-daemon URL]
-            [-out results.json] [-csv results.csv]
+            [-objectives a,b,c] [-out results.json] [-csv results.csv]
             [-workers N] [-seed S] [-budget analytic|smoke|standard]
             [-timeout 10m] [-store dir]
   sweep optimize {-space <name> | -spec file.json} [-objectives a,b,c]

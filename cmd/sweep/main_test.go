@@ -390,3 +390,56 @@ func TestRunSpecObjectivesSameFrontEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRegistryObjectivesSameFront: -objectives draws a registered
+// scenario's front too, and the front a local run writes is the one a
+// -daemon run of the same invocation streams back.
+func TestRunRegistryObjectivesSameFront(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scenario", "paper-baseline", "-objectives", "tx-power,noc-latency", "-seed", "3"}
+	local := filepath.Join(dir, "local.json")
+	if err := run(slices.Concat(args, []string{"-out", local})); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res sweep.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	objs, err := sweep.ParseObjectives([]string{"tx-power", "noc-latency"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (sweep.Pareto{Objectives: objs}).Mark(slices.Clone(res.Records)); !slices.Equal(res.ParetoIndices, want) {
+		t.Fatalf("local front %v, want the (tx-power, noc-latency) front %v", res.ParetoIndices, want)
+	}
+	if trio := (sweep.Pareto{}).Mark(slices.Clone(res.Records)); slices.Equal(trio, res.ParetoIndices) {
+		t.Fatalf("the default trio marks the same front %v: the test cannot tell the objectives apart", trio)
+	}
+	var want []byte
+	for _, rec := range res.Records {
+		if want, err = sweep.AppendRecordJSON(want, rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+	}
+
+	m := service.New(service.Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(service.NewHandler(m))
+	defer srv.Close()
+	remote := filepath.Join(dir, "remote.ndjson")
+	if err := run(slices.Concat(args, []string{"-daemon", srv.URL, "-out", remote})); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("daemon records differ from the local run:\n got %s\nwant %s", got, want)
+	}
+}

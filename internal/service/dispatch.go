@@ -69,11 +69,14 @@ type Lease struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// distRun is the assembly state of one distributed job: records filled
-// in by chunk completions, a countdown of outstanding points, and a
-// channel closed exactly once when the job finishes or fails.
+// distRun is the assembly state of one distributed batch: records
+// filled in by chunk completions, the batch's point keys (computed once
+// by the cache pre-pass, reused for store puts and the record table), a
+// countdown of outstanding points, and a channel closed exactly once
+// when the batch finishes or fails.
 type distRun struct {
 	recs      []sweep.Record
+	keys      []string
 	remaining int
 	failure   string
 	finished  chan struct{}
@@ -577,7 +580,7 @@ func (m *Manager) CompleteTraced(leaseID string, recs []sweep.Record, spans []ob
 	// store's own dedup makes a racing duplicate completion harmless.
 	if m.opts.Cache != nil {
 		for k, rec := range recs {
-			m.opts.Cache.Put(j.keyer.Key(t.pts[k]), rec)
+			m.opts.Cache.Put(t.dr.keys[t.slots[k]], rec)
 		}
 	}
 	if finished {
@@ -754,12 +757,13 @@ func planChunks(n int, todo []int, sigs []string, size int) (order []int, chunks
 // completed, like the in-process path's `case err == nil` — the
 // finished channel is closed before any state read off dr, so the
 // recheck is race-free.
-func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
-	dr := &distRun{recs: make([]sweep.Record, len(pts)), finished: make(chan struct{})}
+func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, []string, int, error) {
+	dr := &distRun{recs: make([]sweep.Record, len(pts)), keys: make([]string, len(pts)), finished: make(chan struct{})}
 	var todo []int
 	for i, pt := range pts {
+		dr.keys[i] = j.keyer.Key(pt)
 		if m.opts.Cache != nil {
-			if rec, ok := m.opts.Cache.Get(j.keyer.Key(pt)); ok {
+			if rec, ok := m.opts.Cache.Get(dr.keys[i]); ok {
 				rec.Pareto = false
 				dr.recs[i] = rec
 				j.done.Add(1)
@@ -801,9 +805,9 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 	}
 	switch {
 	case finished && dr.failure != "":
-		return nil, cached, errors.New(dr.failure)
+		return nil, nil, cached, errors.New(dr.failure)
 	case !finished:
-		return nil, cached, ctx.Err()
+		return nil, nil, cached, ctx.Err()
 	}
-	return dr.recs, cached, nil
+	return dr.recs, dr.keys, cached, nil
 }

@@ -160,11 +160,14 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, v)
 	})
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/records", func(w http.ResponseWriter, r *http.Request) {
-		res, err := m.Result(r.PathValue("id"))
+		// The read holds the job's record references to the end, so an
+		// eviction mid-stream cannot cut the stream short.
+		rd, err := m.openRecords(r.PathValue("id"))
 		if err != nil {
 			writeAPIError(w, err)
 			return
 		}
+		defer rd.close()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		// Only done jobs have a result, so every record already exists:
@@ -173,7 +176,7 @@ func NewHandler(m *Manager) http.Handler {
 		// recordBatchBytes and once at the end.
 		buf := make([]byte, 0, recordBatchBytes+2048)
 		sent := false
-		for i, rec := range res.Records {
+		for i, rec := range rd.all() {
 			line, err := sweep.AppendRecordJSON(buf, rec)
 			if err != nil {
 				// An unencodable record must not read as a complete
@@ -261,26 +264,24 @@ func NewHandler(m *Manager) http.Handler {
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/pareto", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		// The view first: if the job is evicted between the two
-		// lookups, the Result call fails loudly instead of the response
+		// lookups, the records read fails loudly instead of the response
 		// silently losing its objectives.
 		v, err := m.Get(id)
-		var res *sweep.Result
+		var rd *jobRecords
 		if err == nil {
-			res, err = m.Result(id)
+			rd, err = m.openRecords(id)
 		}
 		if err != nil {
 			writeAPIError(w, err)
 			return
 		}
-		front := make([]sweep.Record, 0, len(res.ParetoIndices))
-		for _, i := range res.ParetoIndices {
-			front = append(front, res.Records[i])
-		}
+		defer rd.close()
+		front := rd.front()
 		payload := map[string]any{
-			"scenario":   res.Scenario,
+			"scenario":   rd.res.Scenario,
 			"objectives": v.Objectives,
-			"seed":       res.Seed,
-			"budget":     res.Budget,
+			"seed":       rd.res.Seed,
+			"budget":     rd.res.Budget,
 			"front":      front,
 		}
 		if v.Space != "" {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -142,9 +143,11 @@ type job struct {
 	// grid or normalized search options (Evaluate and OnGeneration are
 	// filled in at run time). Immutable after Submit.
 	plan Plan
-	// pts is a sweep's grid (nil for optimizations). It is released when
-	// the job reaches a terminal state, so retained jobs keep only their
-	// result; written under mu, read by execute once the job runs.
+	// pts is a sweep's grid (nil for optimizations), the only reference
+	// the job keeps to it: Submit clears plan.Scenario.Points, whose
+	// closure may hold a compiled spec's grid. It is released when the
+	// job reaches a terminal state; written under mu, read by execute
+	// once the job runs.
 	pts   []sweep.Point
 	total int
 	// scenarioName is plan.ScenarioName(), the scenario string in
@@ -168,10 +171,19 @@ type job struct {
 	done   atomic.Int64
 	cached atomic.Int64
 
-	mu        sync.Mutex
-	state     State
-	errMsg    string
-	result    *sweep.Result
+	mu     sync.Mutex
+	state  State
+	errMsg string
+	// result is a done job's Result without its records: the header
+	// fields and ParetoIndices. The records live once in the manager's
+	// record table; keys lists the job's, in record order, as the
+	// table's own key strings.
+	result *sweep.Result
+	keys   []string
+	// readers counts the record reads in flight (see openRecords). An
+	// evicted job keeps its table references until readers drops to 0.
+	readers   int
+	evicted   bool
 	gens      []search.Generation
 	cancel    context.CancelFunc
 	submitted time.Time
@@ -320,10 +332,14 @@ type Manager struct {
 
 	// evaluate runs one batch of a job's points — the whole grid of a
 	// sweep, one generation of an optimization — and returns the records
-	// in batch order plus how many came from the cache. New sets it once:
+	// in batch order, their keys when the evaluator computed them (nil
+	// otherwise) and how many came from the cache. New sets it once:
 	// dispatchBatch in distributed mode, evaluateInProcess otherwise.
 	// Tests replace it to control job timing.
-	evaluate func(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error)
+	evaluate func(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, []string, int, error)
+
+	// records holds the records of every retained done job, once each.
+	records *recordTable
 
 	// dispatch owns the chunk queue and lease table served to workers.
 	// Only a distributed manager enqueues chunks, but every manager
@@ -369,10 +385,11 @@ func New(opts Options) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		opts: opts,
-		met:  newServiceMetrics(reg),
-		log:  logger,
-		jobs: make(map[string]*job),
+		opts:    opts,
+		met:     newServiceMetrics(reg),
+		log:     logger,
+		records: newRecordTable(),
+		jobs:    make(map[string]*job),
 	}
 	m.ctx = ctx
 	m.cancel = cancel
@@ -401,6 +418,18 @@ func New(opts Options) *Manager {
 			_, running := m.InFlight()
 			emit(float64(running))
 		})
+	reg.GaugeFunc("sweepd_retained_records",
+		"Distinct records held for retained done jobs.", nil,
+		func(emit func(float64, ...string)) {
+			records, _ := m.records.size()
+			emit(float64(records))
+		})
+	reg.GaugeFunc("sweepd_retained_points",
+		"Record keys held by retained done jobs.", nil,
+		func(emit func(float64, ...string)) {
+			_, points := m.records.size()
+			emit(float64(points))
+		})
 	m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
 	m.evaluate = m.evaluateInProcess
 	if opts.Distributed {
@@ -425,6 +454,7 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 	if plan.Kind == KindSweep {
 		j.pts = plan.Scenario.Points()
 		j.total = len(j.pts)
+		j.plan.Scenario.Points = nil
 	} else {
 		j.total = plan.Search.Generations * plan.Search.Population
 	}
@@ -543,7 +573,9 @@ func (m *Manager) recordPhase(j *job, name string, start, end time.Time, attrs m
 
 // evictLocked drops the oldest terminal jobs once the table exceeds
 // RetainJobs, keeping the daemon's memory bounded. Live (queued or
-// running) jobs are always kept, even past the cap.
+// running) jobs are always kept, even past the cap. An evicted done
+// job's record references are released now, or by the last read still
+// streaming them.
 func (m *Manager) evictLocked() {
 	excess := len(m.order) - m.opts.RetainJobs
 	if excess <= 0 {
@@ -554,6 +586,10 @@ func (m *Manager) evictLocked() {
 		j := m.jobs[id]
 		j.mu.Lock()
 		evict := excess > 0 && j.state.Terminal()
+		if evict {
+			j.evicted = true
+			m.releaseLocked(j)
+		}
 		j.mu.Unlock()
 		if evict {
 			delete(m.jobs, id)
@@ -670,20 +706,21 @@ func (m *Manager) ListPage(q ListQuery) JobPage {
 	return page
 }
 
-// Result returns the completed sweep of a done job.
+// Result returns the completed sweep of a done job, its records read
+// from the manager's record table. Each call builds a fresh Result.
 func (m *Manager) Result(id string) (*sweep.Result, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	rd, err := m.openRecords(id)
+	if err != nil {
+		return nil, err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil, fmt.Errorf("%w (%s is %s)", ErrNotDone, id, j.state)
+	defer rd.close()
+	res := *rd.res
+	res.ParetoIndices = slices.Clone(res.ParetoIndices)
+	res.Records = make([]sweep.Record, len(rd.keys))
+	for i, rec := range rd.all() {
+		res.Records[i] = rec
 	}
-	return j.result, nil
+	return &res, nil
 }
 
 // Cancel stops a job: a queued job is marked cancelled before it ever
@@ -798,7 +835,7 @@ func (m *Manager) execute(j *job) {
 	// coordinator calls evaluate on this goroutine, so batchEnd needs no
 	// lock.
 	var batchEnd time.Time
-	evaluate := func(ctx context.Context, batch []sweep.Point) (recs []sweep.Record, cached int, err error) {
+	evaluate := func(ctx context.Context, batch []sweep.Point) (recs []sweep.Record, keys []string, cached int, err error) {
 		start := m.opts.Clock()
 		if batchEnd.IsZero() {
 			start = started
@@ -819,38 +856,55 @@ func (m *Manager) execute(j *job) {
 		}()
 		return m.evaluate(ctx, j, batch)
 	}
-	res, err := func() (res *sweep.Result, err error) {
+	res, keys, err := func() (res *sweep.Result, keys []string, err error) {
 		// A panicking point evaluation (sweep.Map re-raises worker
 		// panics) must fail this job, not take down the scheduler
 		// goroutine and with it the whole daemon.
 		defer func() {
 			if r := recover(); r != nil {
 				m.met.jobPanics.Inc()
-				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
+				res, keys, err = nil, nil, fmt.Errorf("service: job panicked: %v", r)
 			}
 		}()
 		if j.plan.Kind == KindOptimize {
-			return m.optimize(ctx, j, evaluate)
+			res, keys, err = m.optimize(ctx, j, evaluate)
+		} else {
+			var recs []sweep.Record
+			var cached int
+			recs, keys, cached, err = evaluate(ctx, pts)
+			res = &sweep.Result{
+				Scenario:       j.scenarioName,
+				Description:    j.plan.Scenario.Description,
+				Seed:           j.req.Seed,
+				Budget:         j.plan.Budget.Name,
+				Records:        recs,
+				CachedPoints:   cached,
+				ComputedPoints: len(recs) - cached,
+				ParetoIndices:  j.plan.Pareto.Mark(recs),
+			}
 		}
-		recs, cached, err := evaluate(ctx, pts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res = &sweep.Result{
-			Scenario:       j.scenarioName,
-			Description:    j.plan.Scenario.Description,
-			Seed:           j.req.Seed,
-			Budget:         j.plan.Budget.Name,
-			Records:        recs,
-			CachedPoints:   cached,
-			ComputedPoints: len(recs) - cached,
+		if keys == nil {
+			// The evaluator kept no keys (the in-process path): derive
+			// each from its record.
+			keys = make([]string, len(res.Records))
+			for i, rec := range res.Records {
+				keys[i] = j.keyer.Key(sweep.Point{Index: rec.Index, Label: rec.Label, Spec: rec.Spec})
+			}
 		}
-		res.ParetoIndices = j.plan.Pareto.Mark(res.Records)
-		return res, nil
+		return res, keys, nil
 	}()
 	// Whatever way the run ends, withdraw any chunks still queued or
 	// leased and forget the job's lease ids.
 	m.dispatch.endJob(j)
+	if err == nil {
+		// The job is not terminal yet, so nothing can evict it before
+		// it holds these references.
+		keys = m.records.retain(keys, res.Records)
+		res.Records = nil
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -859,7 +913,7 @@ func (m *Manager) execute(j *job) {
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.result = res
+		j.result, j.keys = res, keys
 		m.recordPhase(j, "assemble", batchEnd, j.finished, nil)
 	case ctx.Err() != nil:
 		j.state = StateCancelled
@@ -874,8 +928,8 @@ func (m *Manager) execute(j *job) {
 // evaluateInProcess is the evaluator of a non-distributed manager: one
 // batch through the local sweep engine, read through the shared cache,
 // feeding the job's progress counters.
-func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
-	return sweep.EvaluatePoints(ctx, j.scenarioName, pts, sweep.Config{
+func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, []string, int, error) {
+	recs, cached, err := sweep.EvaluatePoints(ctx, j.scenarioName, pts, sweep.Config{
 		Workers: j.req.Workers,
 		Seed:    j.req.Seed,
 		Budget:  j.plan.Budget,
@@ -888,21 +942,32 @@ func (m *Manager) evaluateInProcess(ctx context.Context, j *job, pts []sweep.Poi
 			m.met.point(cached)
 		},
 	})
+	return recs, nil, cached, err
 }
 
 // optimize runs an optimization job's NSGA-II coordinator on the
 // scheduler goroutine, each generation one evaluate batch. The result
 // is a pure function of the request whichever evaluator serves the
 // batches, so in-process and fleet deployments answer byte-identically.
-func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Context, []sweep.Point) ([]sweep.Record, int, error)) (*sweep.Result, error) {
+// The archive's keys are the batches' keys in order, or nil when the
+// evaluator kept none.
+func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Context, []sweep.Point) ([]sweep.Record, []string, int, error)) (*sweep.Result, []string, error) {
 	opts := j.plan.Search
 	opts.OnGeneration = j.appendGeneration
+	var keys []string
 	opts.Evaluate = func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
-		return evaluate(ctx, pts)
+		recs, batchKeys, cached, err := evaluate(ctx, pts)
+		keys = append(keys, batchKeys...)
+		return recs, cached, err
 	}
 	res, err := search.Optimize(ctx, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	// The archive is every evaluated record in evaluation order, batch
+	// after batch.
+	if len(keys) != len(res.Records) {
+		keys = nil
 	}
 	// The optimizer's archive is shaped like a sweep result — records
 	// plus front indices — so every result endpoint (records stream,
@@ -916,7 +981,7 @@ func (m *Manager) optimize(ctx context.Context, j *job, evaluate func(context.Co
 		ParetoIndices:  res.FrontIndices,
 		CachedPoints:   res.CachedPoints,
 		ComputedPoints: res.ComputedPoints,
-	}, nil
+	}, keys, nil
 }
 
 // Generations returns an optimization job's per-generation summaries

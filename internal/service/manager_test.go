@@ -59,15 +59,15 @@ func blockingManager(t *testing.T) (*Manager, chan struct{}, *[]string, *sync.Mu
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var started []string
-	m.evaluate = func(ctx context.Context, j *job, _ []sweep.Point) ([]sweep.Record, int, error) {
+	m.evaluate = func(ctx context.Context, j *job, _ []sweep.Point) ([]sweep.Record, []string, int, error) {
 		mu.Lock()
 		started = append(started, j.scenarioName)
 		mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return nil, nil, 0, ctx.Err()
 		case <-release:
-			return nil, 0, nil
+			return nil, nil, 0, nil
 		}
 	}
 	return m, release, &started, &mu
@@ -210,11 +210,11 @@ func TestShutdownCancelsInFlightAndQueued(t *testing.T) {
 func TestJobPanicMarksFailedNotCrash(t *testing.T) {
 	m := New(Options{JobWorkers: 1})
 	defer m.Shutdown(context.Background())
-	m.evaluate = func(_ context.Context, j *job, _ []sweep.Point) ([]sweep.Record, int, error) {
+	m.evaluate = func(_ context.Context, j *job, _ []sweep.Point) ([]sweep.Record, []string, int, error) {
 		if j.scenarioName == "paper-baseline" {
 			panic("evaluate blew up")
 		}
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 
 	bad, err := m.Submit(Request{Scenario: "paper-baseline"})
@@ -236,8 +236,8 @@ func TestJobPanicMarksFailedNotCrash(t *testing.T) {
 func TestRetainJobsEvictsOldestTerminal(t *testing.T) {
 	m := New(Options{JobWorkers: 1, RetainJobs: 2})
 	defer m.Shutdown(context.Background())
-	m.evaluate = func(context.Context, *job, []sweep.Point) ([]sweep.Record, int, error) {
-		return nil, 0, nil
+	m.evaluate = func(context.Context, *job, []sweep.Point) ([]sweep.Record, []string, int, error) {
+		return nil, nil, 0, nil
 	}
 
 	var ids []string

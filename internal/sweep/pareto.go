@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -170,8 +171,9 @@ func (p Pareto) Admits(r Record) bool {
 // Mark sets the Pareto flag on every feasible record that no other
 // feasible record dominates, clears it on the rest, and returns the
 // front's indices in record order. Infeasible records neither join nor
-// dominate the front. The cost matrix is built once, so the pairwise
-// pass compares plain float rows.
+// dominate the front. The cost matrix is built once; two objectives
+// take the O(n log n) sweep of frontOf2, three or more a pairwise pass
+// over the plain float rows.
 func (p Pareto) Mark(recs []Record) []int {
 	objs := p.Axes()
 	k := len(objs)
@@ -186,20 +188,69 @@ func (p Pareto) Mark(recs []Record) []int {
 			}
 		}
 	}
+	var onFront []bool
+	if k == 2 {
+		onFront = frontOf2(cost)
+	} else {
+		onFront = frontPairwise(cost, k)
+	}
 	var front []int
 	for a, i := range feasible {
-		row := cost[a*k : a*k+k]
-		dominated := false
-		for b := range feasible {
-			if b != a && Dominates(cost[b*k:b*k+k], row) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+		if onFront[a] {
 			recs[i].Pareto = true
 			front = append(front, i)
 		}
 	}
 	return front
+}
+
+// frontPairwise reports which rows of an n-by-k cost matrix no other
+// row dominates, trying every pair.
+func frontPairwise(cost []float64, k int) []bool {
+	n := len(cost) / k
+	onFront := make([]bool, n)
+	for a := range onFront {
+		row := cost[a*k : a*k+k]
+		onFront[a] = true
+		for b := 0; b < n && onFront[a]; b++ {
+			onFront[a] = b == a || !Dominates(cost[b*k:b*k+k], row)
+		}
+	}
+	return onFront
+}
+
+// frontOf2 reports which rows of a two-column cost matrix no other row
+// dominates, by Dominates' rule, in O(n log n): rows sorted by first
+// cost, a row is dominated exactly when an earlier group (strictly
+// smaller first cost) holds a second cost no larger than its own, or
+// its own group (equal first cost) holds a strictly smaller one. Equal
+// rows therefore stay on the front together. Costs are never NaN (Cost
+// maps NaN to +Inf), so < and == order them totally, ±0 as equals.
+func frontOf2(cost []float64) []bool {
+	n := len(cost) / 2
+	order := make([]int, n)
+	for a := range order {
+		order[a] = a
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(cost[2*a], cost[2*b]) })
+	onFront := make([]bool, n)
+	best, seen := 0.0, false // least second cost over the earlier groups
+	for g := 0; g < n; {
+		// [g, h) is one group of equal first cost; least is its least
+		// second cost.
+		h, least := g+1, cost[2*order[g]+1]
+		for ; h < n && cost[2*order[h]] == cost[2*order[g]]; h++ {
+			least = min(least, cost[2*order[h]+1])
+		}
+		for _, a := range order[g:h] {
+			c := cost[2*a+1]
+			onFront[a] = !(seen && best <= c) && !(least < c)
+		}
+		if !seen || least < best {
+			best = least
+		}
+		seen = true
+		g = h
+	}
+	return onFront
 }

@@ -150,6 +150,13 @@ func FuzzMarkFront(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 0, 2, 2, 2, 2, 2, 2, 0, 10, 9, 8, 7, 6, 5, 4})
 	f.Add([]byte{4, 3, 0, 0, 0, 0, 0, 0, 2, 10, 10, 10, 10, 10, 10, 0, 4, 4, 4, 4, 4, 4, 5, 4, 4, 4, 4, 4, 4, 1})
 	f.Add([]byte{1, 2, 3, 3, 3, 3, 3, 3, 0, 3, 3, 3, 3, 3, 3, 0, 5, 5, 5, 5, 5, 5, 0}) // an exact tie
+	// Two objectives (noc-latency, noc-saturation): ±Inf costs, an exact
+	// tie, a tie on the first cost only, a NaN, a signed-zero pair, and
+	// a tie on the second cost only.
+	f.Add([]byte{0, 2, 4, 4, 4, 9, 9, 4, 0, 4, 4, 4, 0, 0, 4, 0, 4, 4, 4, 6, 6, 4, 0, 4, 4, 4, 6, 6, 4, 0,
+		4, 4, 4, 6, 5, 4, 0, 4, 4, 4, 3, 10, 4, 0, 4, 4, 4, 4, 3, 4, 0, 4, 4, 4, 3, 4, 4, 4,
+		4, 4, 4, 7, 2, 4, 0, 4, 4, 4, 8, 2, 4, 0})
+	f.Add([]byte{0, 2, 4, 4, 4, 6, 2, 4, 0, 4, 4, 4, 7, 2, 4, 0}) // (1, 1) dominates (2, 1)
 	objectives := ObjectiveNames()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -202,5 +209,26 @@ func BenchmarkParetoMark(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Pareto{}.Mark(recs)
+	}
+}
+
+// BenchmarkParetoMarkTwoObjectives marks a 4096-record front over two
+// fully trading-off objectives: every record is on it, the worst case
+// of a pairwise pass.
+func BenchmarkParetoMarkTwoObjectives(b *testing.B) {
+	objs, err := ParseObjectives([]string{"tx-power", "noc-latency"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]Record, 4096)
+	for i := range recs {
+		recs[i] = Record{TxPowerDBm: float64(i), NoCLatencyCycles: float64(len(recs) - i)}
+	}
+	p := Pareto{Objectives: objs}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if front := p.Mark(recs); len(front) != len(recs) {
+			b.Fatalf("front has %d records, want %d", len(front), len(recs))
+		}
 	}
 }

@@ -294,23 +294,29 @@ func (s *Store) fault(key string) (sweep.Record, bool) {
 		return *e.rec, true
 	}
 	line, err := s.readLineLocked(e)
-	var ent entry
+	// One pass decodes the line and its record together; a line whose
+	// record is missing or null is as unreadable as a torn one.
+	var ent struct {
+		Key    string        `json:"key"`
+		Record *sweep.Record `json:"record"`
+	}
 	if err == nil {
 		err = json.Unmarshal(line, &ent)
 	}
-	var rec sweep.Record
-	if err == nil && ent.Key == key {
-		err = json.Unmarshal(ent.Record, &rec)
-	} else if err == nil {
+	switch {
+	case err != nil:
+	case ent.Key != key:
 		err = fmt.Errorf("store: entry at seg %d off %d holds key %s, want %s", e.seg, e.off, ent.Key, key)
+	case ent.Record == nil:
+		err = fmt.Errorf("store: entry at seg %d off %d has no record", e.seg, e.off)
 	}
 	if err != nil {
 		delete(s.index, key)
 		s.skipped++
 		return sweep.Record{}, false
 	}
-	e.rec = &rec
-	return rec, true
+	e.rec = ent.Record
+	return *ent.Record, true
 }
 
 // readLineLocked reads the raw bytes of one entry line (without the

@@ -445,3 +445,43 @@ func TestUnwrittenPutStaysResident(t *testing.T) {
 		t.Fatal("Close did not report the failed write")
 	}
 }
+
+// TestFaultDropsUnreadableLines: a Get whose line holds another key, or
+// no record, misses and forgets the entry, so the caller's recompute
+// can be stored in its place; a good line still faults in.
+func TestFaultDropsUnreadableLines(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir, 1, []entry{
+		rawEntry(t, key(1), sweep.EngineVersion, testRecord(1)),
+		rawEntry(t, key(2), sweep.EngineVersion, testRecord(2)),
+		{Key: key(3), Engine: sweep.EngineVersion, Record: json.RawMessage(`null`)},
+	})
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Point key 1 at key 2's line, as a clobbered segment would.
+	s.mu.Lock()
+	moved := *s.index[key(2)]
+	s.index[key(1)] = &moved
+	s.mu.Unlock()
+	before := s.Stats().Skipped
+	for _, k := range []string{key(1), key(3)} {
+		if rec, ok := s.Get(k); ok {
+			t.Errorf("Get(%s) served %+v from an unreadable line", k, rec)
+		}
+		s.mu.RLock()
+		_, kept := s.index[k]
+		s.mu.RUnlock()
+		if kept {
+			t.Errorf("entry %s kept after its line failed to read", k)
+		}
+	}
+	if got := s.Stats().Skipped - before; got != 2 {
+		t.Errorf("skipped grew by %d, want 2", got)
+	}
+	if rec, ok := s.Get(key(2)); !ok || !reflect.DeepEqual(rec, testRecord(2)) {
+		t.Fatalf("Get(key 2) = %+v, %v; want its record", rec, ok)
+	}
+}
