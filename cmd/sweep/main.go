@@ -56,11 +56,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
@@ -232,13 +230,13 @@ func (f *jobFlags) resolve() (service.Plan, error) {
 
 // writeOutputs writes the -out JSON document (to stdout for "-") and
 // the -csv record table.
-func (f *jobFlags) writeOutputs(writeJSON func(io.Writer) error, recs []sweep.Record) error {
+func (f *jobFlags) writeOutputs(doc any, recs []sweep.Record) error {
 	if f.out == "-" {
-		if err := writeJSON(os.Stdout); err != nil {
+		if err := sweep.WriteJSON(os.Stdout, doc); err != nil {
 			return err
 		}
 	} else if f.out != "" {
-		if err := fsio.WriteFileAtomic(f.out, func(w *os.File) error { return writeJSON(w) }); err != nil {
+		if err := fsio.WriteFileAtomic(f.out, func(w *os.File) error { return sweep.WriteJSON(w, doc) }); err != nil {
 			return err
 		}
 		fmt.Println("wrote", f.out)
@@ -311,7 +309,7 @@ func run(args []string) error {
 	for _, i := range res.ParetoIndices {
 		fmt.Println("  ", res.Records[i].Summary())
 	}
-	return f.writeOutputs(func(w io.Writer) error { return sweep.WriteJSON(w, res) }, res.Records)
+	return f.writeOutputs(res, res.Records)
 }
 
 // optimize runs the adaptive multi-objective search over a registered
@@ -367,12 +365,7 @@ func optimize(args []string) error {
 	for _, rec := range res.Front() {
 		fmt.Println("  ", rec.Summary())
 	}
-	// Indented JSON with the same fixed formatting as sweep.WriteJSON.
-	return f.writeOutputs(func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}, res.Records)
+	return f.writeOutputs(res, res.Records)
 }
 
 // storeCmd administers the on-disk result store:

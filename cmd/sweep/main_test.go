@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -289,22 +290,56 @@ func TestRunSpecLocalMatchesDaemon(t *testing.T) {
 	}
 }
 
-// TestRunDaemonUnencodableRecordsFails: every record of the
-// power-constrained example carries a +Inf noc_saturation, which the
-// daemon's record stream cannot encode, so a -daemon run must fail and
-// leave no output file rather than write an empty one.
-func TestRunDaemonUnencodableRecordsFails(t *testing.T) {
+// TestRunDaemonNonFiniteRecords: every record of the power-constrained
+// example carries a +Inf noc_saturation. A local run, a -daemon run
+// and an optimize run over it all write their -out files, and the
+// daemon's record lines equal the local run's records, the value
+// spelled "+Inf".
+func TestRunDaemonNonFiniteRecords(t *testing.T) {
+	const spec = "../../examples/specs/power-constrained-stack.json"
 	m := service.New(service.Options{JobWorkers: 1})
 	defer m.Shutdown(context.Background())
 	srv := httptest.NewServer(service.NewHandler(m))
 	defer srv.Close()
-	out := filepath.Join(t.TempDir(), "remote.ndjson")
-	err := run([]string{"-spec", "../../examples/specs/power-constrained-stack.json", "-daemon", srv.URL, "-out", out})
-	if err == nil || !strings.Contains(err.Error(), "record 0 ") {
-		t.Fatalf("run = %v, want the daemon's error naming record 0", err)
+	dir := t.TempDir()
+	local, remote, opt := filepath.Join(dir, "local.json"), filepath.Join(dir, "remote.ndjson"), filepath.Join(dir, "opt.json")
+	if err := run([]string{"-spec", spec, "-out", local}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("output file left behind (stat: %v)", err)
+	if err := run([]string{"-spec", spec, "-daemon", srv.URL, "-out", remote}); err != nil {
+		t.Fatal(err)
+	}
+	if err := optimize([]string{"-spec", spec, "-generations", "2", "-population", "4", "-out", opt}); err != nil {
+		t.Fatal(err)
+	}
+	var res sweep.Result
+	var optRes search.Result
+	for path, v := range map[string]any{local: &res, opt: &optRes} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	if len(optRes.Records) != 8 || !math.IsInf(optRes.Records[0].NoCSaturation, 1) {
+		t.Fatalf("optimize wrote %d records, first %+v; want 8 with +Inf noc_saturation", len(optRes.Records), optRes.Records)
+	}
+	lines, err := os.ReadFile(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, rec := range res.Records {
+		want, _ = sweep.AppendRecordJSON(want, rec)
+		want = append(want, '\n')
+	}
+	if len(res.Records) != 18 || !bytes.Equal(lines, want) {
+		t.Fatalf("daemon lines\n%s\nwant the local run's %d records\n%s", lines, len(res.Records), want)
+	}
+	if n := bytes.Count(lines, []byte(`"noc_saturation":"+Inf"`)); n != 18 {
+		t.Fatalf("%d of 18 lines spell +Inf", n)
 	}
 }
 

@@ -106,7 +106,7 @@ type ObjectiveBest struct {
 // Generation summarises one generation after environmental selection:
 // the current population's first front (the records optimizer clients
 // stream as the search progresses) and the best raw value per
-// objective across the population.
+// objective across the population, where that value is finite.
 type Generation struct {
 	Gen int `json:"gen"`
 	// Evaluated and Cached count this generation's points by how they
@@ -274,10 +274,10 @@ func summarize(gen, evaluated, cached int, pop []*indiv, objs []sweep.Metric) Ge
 	g.FrontSize = len(g.Front)
 	for k, o := range objs {
 		v := bestCost[k]
-		if math.IsInf(v, 1) {
+		if math.IsInf(v, 0) {
 			// No feasible individual has a finite value for this
-			// objective; an entry would carry ±Inf or NaN, which JSON
-			// cannot encode, so it is omitted.
+			// objective, or the best value is infinite (a maximised
+			// +Inf saturation rate); Best reports finite values only.
 			continue
 		}
 		if o.Maximize {

@@ -210,16 +210,17 @@ func checkPlan(t *testing.T, n int, todo []int, sigs []string, size int) {
 
 // oracleChunkRuns is how the dispatcher chunked every batch before
 // chunks followed sub-models: runs of consecutive uncached slots, each
-// cut by sweep.Chunks and shifted to its offset in the batch.
+// cut into chunks of at most size slots (one slot when size <= 0).
 func oracleChunkRuns(todo []int, size int) []sweep.Chunk {
+	size = max(size, 1)
 	var out []sweep.Chunk
 	for i := 0; i < len(todo); {
 		k := i + 1
 		for k < len(todo) && todo[k] == todo[k-1]+1 {
 			k++
 		}
-		for _, c := range sweep.Chunks(k-i, size) {
-			out = append(out, sweep.Chunk{Start: todo[i] + c.Start, End: todo[i] + c.End})
+		for lo := todo[i]; lo <= todo[k-1]; lo += size {
+			out = append(out, sweep.Chunk{Start: lo, End: min(lo+size, todo[k-1]+1)})
 		}
 		i = k
 	}

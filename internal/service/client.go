@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,11 +33,6 @@ func NewClient(base string) *Client {
 		hc:   &http.Client{Timeout: 30 * time.Second},
 	}
 }
-
-// errUnencodable marks records the client cannot put on the wire (a
-// non-finite float): the same records fail the same way on every retry
-// and every worker.
-var errUnencodable = errors.New("service: records cannot be encoded")
 
 // do sends one request over hc, abandoned when ctx ends; a POST carries
 // body as JSON. A 2xx response is returned for the caller to read and
@@ -144,14 +138,11 @@ func (c *Client) Complete(leaseID string, recs []sweep.Record) error {
 // spans of this chunk, in one request.
 func (c *Client) CompleteTraced(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
 	// Chunk completions are the fattest bodies on the worker wire; the
-	// record encoder builds one in a single buffer, emitting the same
-	// bytes json.Marshal would per record.
+	// record encoder builds one in a single buffer, emitting the bytes
+	// Record.MarshalJSON would per record.
 	body := make([]byte, 0, 128+256*len(recs))
 	body = append(body, `{"records":`...)
-	body, err := sweep.AppendRecordsJSON(body, recs)
-	if err != nil {
-		return fmt.Errorf("%w: %w", errUnencodable, err)
-	}
+	body = sweep.AppendRecordsJSON(body, recs)
 	if len(spans) > 0 {
 		sp, err := json.Marshal(spans)
 		if err != nil {

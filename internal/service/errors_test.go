@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // TestErrorTable pins every row of the v1 error contract and checks it
@@ -202,13 +206,12 @@ func TestClientJobCalls(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerFailsUnencodableRecords: every record of the
-// power-constrained example has a +Inf noc_saturation, which no
-// completion body can carry. The encode failure is the same on every
-// attempt and every worker, so an HTTP worker must fail the job at its
-// first lease instead of retrying until the lease expires and the
-// chunk bounces to the next worker, forever.
-func TestFleetWorkerFailsUnencodableRecords(t *testing.T) {
+// TestFleetWorkerNonFiniteRecords: every record of the
+// power-constrained example has a +Inf noc_saturation. An HTTP worker
+// carries them in its completion body like any other value, so the
+// fleet job ends done, without a failed lease, with records
+// byte-identical to an in-process run.
+func TestFleetWorkerNonFiniteRecords(t *testing.T) {
 	doc, err := os.ReadFile("../../examples/specs/power-constrained-stack.json")
 	if err != nil {
 		t.Fatal(err)
@@ -225,16 +228,45 @@ func TestFleetWorkerFailsUnencodableRecords(t *testing.T) {
 	}()
 	defer func() { stop(); <-done }()
 
-	v, err := m.Submit(Request{Spec: doc})
-	if err != nil {
-		t.Fatal(err)
+	local := New(Options{JobWorkers: 1})
+	defer local.Shutdown(context.Background())
+	var got [2][]byte
+	for i, mgr := range []*Manager{m, local} {
+		v, err := mgr.Submit(Request{Spec: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, mgr, v.ID, StateDone)
+		res, err := mgr.Result(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = sweep.AppendRecordsJSON(nil, res.Records)
 	}
-	got := waitState(t, m, v.ID, StateFailed)
-	if !strings.Contains(got.Error, "cannot be encoded: record ") || !strings.Contains(got.Error, "+Inf") {
-		t.Fatalf("job error = %q, want the unencodable record named", got.Error)
+	if !bytes.Equal(got[0], got[1]) || !bytes.Contains(got[0], []byte(`"noc_saturation":"+Inf"`)) {
+		t.Fatalf("fleet records\n%s\nwant the in-process records, +Inf spelled\n%s", got[0], got[1])
 	}
 	fleet := m.FleetStats()
-	if len(fleet.Workers) != 1 || fleet.Workers[0].Failures != 1 {
-		t.Fatalf("fleet = %+v, want one worker with one failed lease", fleet.Workers)
+	if len(fleet.Workers) != 1 || fleet.Workers[0].Failures != 0 {
+		t.Fatalf("fleet = %+v, want one worker without a failed lease", fleet.Workers)
+	}
+}
+
+// TestWriteJSONUnencodable: a payload encoding/json refuses answers a
+// 500 internal error envelope, never a 2xx with an empty or cut body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	for _, v := range []any{
+		map[string]float64{"best": math.Inf(1)},
+		struct{ C chan int }{make(chan int)},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%T: body %q is not an error envelope: %v", v, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal {
+			t.Fatalf("%T: status %d, error %+v; want 500 %q", v, rec.Code, env.Error, CodeInternal)
+		}
 	}
 }

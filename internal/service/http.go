@@ -175,25 +175,14 @@ func NewHandler(m *Manager) http.Handler {
 		// one buffer, written and flushed each time it passes
 		// recordBatchBytes and once at the end.
 		buf := make([]byte, 0, recordBatchBytes+2048)
-		sent := false
-		for i, rec := range rd.all() {
-			line, err := sweep.AppendRecordJSON(buf, rec)
-			if err != nil {
-				// An unencodable record must not read as a complete
-				// stream: a 500 while nothing is sent, else a broken
-				// transfer.
-				if sent {
-					panic(http.ErrAbortHandler)
-				}
-				writeAPIError(w, fmt.Errorf("record %d cannot be encoded: %w", i, err))
-				return
-			}
-			buf = append(line, '\n')
+		for _, rec := range rd.all() {
+			buf, _ = sweep.AppendRecordJSON(buf, rec)
+			buf = append(buf, '\n')
 			if len(buf) >= recordBatchBytes {
 				if !writeBatch(w, flusher, buf) {
 					return // client went away mid-stream
 				}
-				buf, sent = buf[:0], true
+				buf = buf[:0]
 			}
 		}
 		if len(buf) > 0 {
@@ -498,10 +487,16 @@ func handleSpaces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// writeJSON writes v as indented JSON under status. The body is
+// encoded before the header is sent, so a value that cannot be encoded
+// answers a 500 error envelope instead of an empty 2xx.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeAPIError(w, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }

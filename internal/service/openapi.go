@@ -35,15 +35,15 @@ var routeDocs = map[string]string{
 	"GET /api/v1/jobs":                           "List jobs in submission order, filtered and paginated (limit, cursor, state, kind).",
 	"GET /api/v1/jobs/{id}":                      "One job snapshot; poll for progress.",
 	"DELETE /api/v1/jobs/{id}":                   "Cancel a queued or running job.",
-	"GET /api/v1/jobs/{id}/records":              "Completed records as NDJSON, one per line.",
-	"GET /api/v1/jobs/{id}/pareto":               "The job's Pareto-front records.",
+	"GET /api/v1/jobs/{id}/records":              "Completed records as NDJSON, one per line; NaN and infinite floats are the strings \"NaN\", \"+Inf\" and \"-Inf\".",
+	"GET /api/v1/jobs/{id}/pareto":               "The job's Pareto-front records, non-finite floats spelled as in /records.",
 	"GET /api/v1/jobs/{id}/generations":          "Per-generation optimizer fronts as a live NDJSON stream.",
 	"GET /api/v1/jobs/{id}/trace":                "The job's retained trace spans as NDJSON.",
 	"GET /api/v1/jobs/{id}/timeline":             "Derived phase timeline with per-chunk turnarounds.",
 	"GET /api/v1/fleet/stats":                    "Per-worker throughput profiles and the straggler baseline.",
 	"POST /api/v1/workers/lease":                 "Lease one chunk of distributed work.",
 	"POST /api/v1/workers/leases/{id}/heartbeat": "Extend a lease before its TTL expires.",
-	"POST /api/v1/workers/leases/{id}/complete":  "Post a leased chunk's evaluated records.",
+	"POST /api/v1/workers/leases/{id}/complete":  "Post a leased chunk's evaluated records, non-finite floats spelled as in /records.",
 	"POST /api/v1/workers/leases/{id}/fail":      "Report an unevaluable chunk, failing its job.",
 }
 

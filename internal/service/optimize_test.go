@@ -2,11 +2,15 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -342,6 +346,76 @@ func TestOptimizeHTTPSurface(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("generations of unknown job = %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestOptimizeNonFiniteObjective optimizes over the power-constrained
+// example, whose single-module stack has no loaded NoC channel, so
+// every record's noc_saturation is +Inf. Best omits that objective, the
+// generations stream delivers every generation, and /pareto and
+// /records answer complete 200s carrying the spelled value.
+func TestOptimizeNonFiniteObjective(t *testing.T) {
+	doc, err := os.ReadFile("../../examples/specs/power-constrained-stack.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	v := submit(t, srv, Request{Kind: KindOptimize, Spec: doc, Seed: 4, Generations: 3, Population: 8}, http.StatusAccepted)
+	pollDone(t, srv, v.ID)
+
+	resp, err := http.Get(srv.URL + "/api/v1/jobs/" + v.ID + "/generations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var gens []search.Generation
+	scan := bufio.NewScanner(resp.Body)
+	scan.Buffer(make([]byte, 1<<20), 1<<20)
+	for scan.Scan() {
+		var g search.Generation
+		if err := json.Unmarshal(scan.Bytes(), &g); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", scan.Text(), err)
+		}
+		gens = append(gens, g)
+	}
+	if err := scan.Err(); err != nil || resp.StatusCode != http.StatusOK || len(gens) != 3 {
+		t.Fatalf("generations: status %d, %d lines, err %v; want 200 and 3", resp.StatusCode, len(gens), err)
+	}
+	for _, g := range gens {
+		if len(g.Best) != 1 || g.Best[0].Objective != "tx-power" {
+			t.Fatalf("generation %d best = %+v, want tx-power only", g.Gen, g.Best)
+		}
+		if len(g.Front) == 0 || !math.IsInf(g.Front[0].NoCSaturation, 1) {
+			t.Fatalf("generation %d front = %+v, want +Inf noc_saturation", g.Gen, g.Front)
+		}
+	}
+
+	var pareto struct {
+		Front []json.RawMessage `json:"front"`
+	}
+	getJSON(t, srv, "/api/v1/jobs/"+v.ID+"/pareto", &pareto)
+	var first bytes.Buffer
+	if len(pareto.Front) == 0 || json.Compact(&first, pareto.Front[0]) != nil ||
+		!strings.Contains(first.String(), `"noc_saturation":"+Inf"`) {
+		t.Fatalf("pareto front = %s", pareto.Front)
+	}
+	resp, err = http.Get(srv.URL + "/api/v1/jobs/" + v.ID + "/records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if err != nil || resp.StatusCode != http.StatusOK || len(lines) != 24 {
+		t.Fatalf("records: status %d, %d lines, err %v; want 200 and 24", resp.StatusCode, len(lines), err)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, `"noc_saturation":"+Inf"`) {
+			t.Fatalf("record line %s lacks the +Inf spelling", l)
+		}
 	}
 }
 

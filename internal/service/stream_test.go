@@ -109,60 +109,65 @@ func TestRecordsStreamBatches(t *testing.T) {
 	}
 }
 
-// TestRecordsStreamUnencodableRecord streams jobs whose records carry
-// a +Inf noc_saturation (a single-router stack has no loaded channel),
-// which JSON cannot encode. The stream must never end as a clean 200:
-// with nothing sent yet it is a 500 error envelope naming the record,
-// and after a batch has gone out the transfer breaks.
-func TestRecordsStreamUnencodableRecord(t *testing.T) {
+// TestRecordsStreamNonFiniteRecords streams jobs whose records carry
+// a +Inf noc_saturation (a single-router stack has no loaded channel):
+// the power-constrained example, where every record does, and a grid
+// whose second half does, past the first batch. Each stream is a
+// complete 200 holding every record's line, the value spelled "+Inf".
+func TestRecordsStreamNonFiniteRecords(t *testing.T) {
 	m := New(Options{JobWorkers: 1})
 	defer m.Shutdown(context.Background())
-	h := NewHandler(m)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
 	doc, err := os.ReadFile("../../examples/specs/power-constrained-stack.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.Submit(Request{Spec: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, v.ID, StateDone)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+v.ID+"/records", nil))
-	var env errorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("status %d, body %q is not an error envelope: %v", rec.Code, rec.Body, err)
-	}
-	if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal ||
-		!strings.Contains(env.Error.Message, "record 0 ") {
-		t.Fatalf("status %d, error %+v; want 500 %q naming record 0", rec.Code, env.Error, CodeInternal)
-	}
-
 	// 128 finite 64-module records (more than one batch), then 128
 	// 4-module ones.
-	v, err = m.Submit(Request{Spec: json.RawMessage(`{"name": "inf-after-a-batch",
+	twoHalves := json.RawMessage(`{"name": "inf-after-a-batch",
 		"axes": [
 			{"name": "stack-modules", "kind": "enum", "values": [64, 4]},
 			{"name": "boards", "kind": "integer", "min": 2, "max": 17},
 			{"name": "link-rate-gbps", "kind": "continuous", "min": 15, "max": 50, "step": 5}
-		]}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, v.ID, StateDone)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/jobs/" + v.ID + "/records")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || len(body) < recordBatchBytes {
-		t.Fatalf("status %d after %d bytes; want the first batch under 200", resp.StatusCode, len(body))
-	}
-	if err == nil {
-		t.Fatalf("stream of %d bytes ended cleanly before the unencodable record 128", len(body))
+		]}`)
+	for _, c := range []struct {
+		spec            json.RawMessage
+		records, finite int
+	}{{doc, 18, 0}, {twoHalves, 256, 128}} {
+		v, err := m.Submit(Request{Spec: c.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, v.ID, StateDone)
+		res, err := m.Result(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, rec := range res.Records {
+			want, _ = sweep.AppendRecordJSON(want, rec)
+			want = append(want, '\n')
+		}
+		resp, err := http.Get(srv.URL + "/api/v1/jobs/" + v.ID + "/records")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("status %d, %d bytes, err %v; want a complete 200 of %d bytes", resp.StatusCode, len(body), err, len(want))
+		}
+		lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+		spelled := 0
+		for _, l := range lines {
+			if strings.Contains(l, `"noc_saturation":"+Inf"`) {
+				spelled++
+			}
+		}
+		if len(lines) != c.records || spelled != c.records-c.finite {
+			t.Fatalf("%d lines, %d spelling +Inf; want %d and %d", len(lines), spelled, c.records, c.records-c.finite)
+		}
 	}
 }
 

@@ -213,12 +213,11 @@ func serveLease(ctx context.Context, api WorkerAPI, l Lease, opts WorkerOptions,
 			// daemon discarded these records (job cancelled, or the
 			// chunk was re-leased and finished by someone else).
 			logger.Warn("lease gone at completion, records discarded")
-		case errors.Is(err, ErrBadRecords), errors.Is(err, errUnencodable):
+		case errors.Is(err, ErrBadRecords):
 			// The daemon rejected records this worker considers correct
-			// (the two binaries disagree on the records), or the records
-			// cannot be put on the wire. Deterministic, so every retry
-			// and every re-lease would fail the same way — fail the job
-			// instead of bouncing the chunk forever.
+			// (the two binaries disagree on the records). Deterministic,
+			// so every retry and every re-lease would fail the same way —
+			// fail the job instead of bouncing the chunk forever.
 			logger.Error("records rejected, failing job", "error", err)
 			if ferr := api.FailLease(l.ID, err.Error()); ferr != nil && !errors.Is(ferr, ErrLeaseGone) {
 				logger.Warn("fail report not delivered", "error", ferr)
@@ -271,14 +270,14 @@ func workerSpans(l Lease, worker string, leased, evalStart, evalEnd time.Time, p
 }
 
 // completeWithRetry posts records and worker spans (nil for an
-// untraced lease), retrying transient errors a few times. ErrLeaseGone,
-// ErrBadRecords and errUnencodable are deterministic outcomes and
-// returned immediately for the caller to classify.
+// untraced lease), retrying transient errors a few times. ErrLeaseGone
+// and ErrBadRecords are deterministic outcomes and returned immediately
+// for the caller to classify.
 func completeWithRetry(ctx context.Context, api WorkerAPI, leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		err = api.CompleteTraced(leaseID, recs, spans)
-		if err == nil || errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrBadRecords) || errors.Is(err, errUnencodable) {
+		if err == nil || errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrBadRecords) {
 			return err
 		}
 		if !sleep(ctx, 100*time.Millisecond<<attempt) {

@@ -6,38 +6,6 @@ import (
 	"testing"
 )
 
-func TestChunksPartition(t *testing.T) {
-	cases := []struct {
-		n, size int
-		want    []Chunk
-	}{
-		{0, 4, nil},
-		{-3, 4, nil},
-		{1, 4, []Chunk{{0, 1}}},
-		{4, 4, []Chunk{{0, 4}}},
-		{5, 4, []Chunk{{0, 4}, {4, 5}}},
-		{8, 3, []Chunk{{0, 3}, {3, 6}, {6, 8}}},
-		{3, 0, []Chunk{{0, 1}, {1, 2}, {2, 3}}},
-	}
-	for _, c := range cases {
-		got := Chunks(c.n, c.size)
-		if len(got) != len(c.want) {
-			t.Errorf("Chunks(%d, %d) = %v, want %v", c.n, c.size, got, c.want)
-			continue
-		}
-		total := 0
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Chunks(%d, %d)[%d] = %v, want %v", c.n, c.size, i, got[i], c.want[i])
-			}
-			total += got[i].Len()
-		}
-		if c.n > 0 && total != c.n {
-			t.Errorf("Chunks(%d, %d) covers %d points", c.n, c.size, total)
-		}
-	}
-}
-
 // TestEvaluatePointsChunksMatchRun is the determinism contract of the
 // distributed tier: evaluating the grid's points chunk by chunk, for any
 // partition, and concatenating the records must reproduce a single-node
@@ -64,13 +32,14 @@ func TestEvaluatePointsChunksMatchRun(t *testing.T) {
 		pts := c.sc.Points()
 		for _, size := range []int{1, 3, len(full.Records)} {
 			var merged []Record
-			for _, ch := range Chunks(len(full.Records), size) {
-				recs, _, err := EvaluatePoints(context.Background(), c.sc.Name, pts[ch.Start:ch.End], cfg)
+			for lo := 0; lo < len(pts); lo += size {
+				hi := min(lo+size, len(pts))
+				recs, _, err := EvaluatePoints(context.Background(), c.sc.Name, pts[lo:hi], cfg)
 				if err != nil {
-					t.Fatalf("chunk %v: %v", ch, err)
+					t.Fatalf("chunk [%d,%d): %v", lo, hi, err)
 				}
-				if len(recs) != ch.Len() {
-					t.Fatalf("chunk %v returned %d records", ch, len(recs))
+				if len(recs) != hi-lo {
+					t.Fatalf("chunk [%d,%d) returned %d records", lo, hi, len(recs))
 				}
 				merged = append(merged, recs...)
 			}

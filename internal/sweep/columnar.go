@@ -1,7 +1,8 @@
 package sweep
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/json"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -9,25 +10,15 @@ import (
 	"repro/internal/core"
 )
 
-// AppendRecordJSON appends one record's compact JSON to dst —
-// byte-identical to json.Marshal(r): same field order, same omitempty
-// behaviour, same float formatting, same string escaping. It neither
-// reflects nor allocates (beyond growing dst), which is what makes the
-// wire, stream and segment paths cheap.
+// AppendRecordJSON appends one record's compact JSON to dst, the one
+// JSON form a Record has: Record.MarshalJSON returns these bytes and
+// Record.UnmarshalJSON inverts them. A record with finite floats
+// encodes byte-identically to encoding/json on the struct: same field
+// order, same omitempty behaviour, same float formatting, same string
+// escaping. NaN and infinities, which encoding/json refuses, are spelled
+// as the strings "NaN", "+Inf" and "-Inf". It neither reflects nor
+// allocates (beyond growing dst). The error is always nil.
 func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
-	if err := finiteSpec(r.Spec); err != nil {
-		return dst, err
-	}
-	for _, v := range [...]float64{
-		r.TxPowerDBm, r.SpectralEfficiency, r.DecodeLatencyBits,
-		r.NoCLatencyCycles, r.NoCSaturation,
-		r.BEREbN0DB, r.BER,
-		r.SimLatencyCycles, r.SimLatencyCI95,
-	} {
-		if err := finiteJSONFloat(v); err != nil {
-			return dst, err
-		}
-	}
 	dst = append(dst, `{"scenario":`...)
 	dst = AppendJSONString(dst, r.Scenario)
 	dst = append(dst, `,"index":`...)
@@ -86,40 +77,186 @@ func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
 	return dst, nil
 }
 
-// finiteSpec returns the failure json.Marshal reports for the first
-// NaN or infinite float in sp, nil when every float is encodable.
-func finiteSpec(sp core.SystemSpec) error {
-	for _, v := range [...]float64{
-		sp.BoardSpacingM, sp.BoardEdgeM, sp.LinkRateGbps,
-		sp.StackInjectionRate, sp.SNRMarginDB,
-	} {
-		if err := finiteJSONFloat(v); err != nil {
-			return err
-		}
+// MarshalJSON returns AppendRecordJSON's bytes, so every encoder of a
+// Record (WriteJSON, the service's JSON payloads) writes the one form.
+func (r Record) MarshalJSON() ([]byte, error) {
+	return AppendRecordJSON(nil, r)
+}
+
+// UnmarshalJSON is AppendRecordJSON's inverse. A record in the layout
+// AppendRecordJSON writes, compact or indented (a WriteJSON document's),
+// is read by recordReader, spelled floats included. Any other layout
+// (reordered or unknown keys, say) decodes as encoding/json decodes the
+// struct, where a float must be a number. r is reset first, so fields
+// absent from b are zero.
+func (r *Record) UnmarshalJSON(b []byte) error {
+	if r.read(b) {
+		return nil
 	}
-	// Optional sections carry floats too; guard them only when present
-	// so the common nil-section path stays a fixed-size scan.
-	if t := sp.Traffic; t != nil {
-		if err := finiteJSONFloat(t.HotspotFraction); err != nil {
-			return err
-		}
+	var compact bytes.Buffer
+	if json.Compact(&compact, b) == nil && r.read(compact.Bytes()) {
+		return nil
 	}
-	if in := sp.Interference; in != nil {
-		if err := finiteJSONFloat(in.RejectionDB); err != nil {
-			return err
-		}
+	type plain Record // without methods, so this does not recurse
+	*r = Record{}
+	return json.Unmarshal(b, (*plain)(r))
+}
+
+// read resets r and fills it from b, reporting whether b is exactly one
+// record in AppendRecordJSON's layout.
+func (r *Record) read(b []byte) bool {
+	*r = Record{}
+	d := recordReader{b: b, ok: true}
+	d.str(`{"scenario":`, false, &r.Scenario)
+	d.integer(`,"index":`, false, &r.Index)
+	d.str(`,"label":`, false, &r.Label)
+	d.key(`,"spec":`, false)
+	d.spec(&r.Spec)
+	d.str(`,"err":`, true, &r.Err)
+	d.float(`,"tx_power_dbm":`, false, &r.TxPowerDBm)
+	d.float(`,"spectral_efficiency_bps_hz":`, false, &r.SpectralEfficiency)
+	d.integer(`,"code_lifting":`, false, &r.CodeLifting)
+	d.integer(`,"code_window":`, false, &r.CodeWindow)
+	d.float(`,"decode_latency_bits":`, false, &r.DecodeLatencyBits)
+	d.str(`,"topology":`, false, &r.Topology)
+	d.float(`,"noc_latency_cycles":`, false, &r.NoCLatencyCycles)
+	d.float(`,"noc_saturation":`, false, &r.NoCSaturation)
+	d.float(`,"ber_ebn0_db":`, true, &r.BEREbN0DB)
+	d.float(`,"ber":`, true, &r.BER)
+	d.integer(`,"ber_codewords":`, true, &r.BERCodewords)
+	d.float(`,"sim_latency_cycles":`, true, &r.SimLatencyCycles)
+	d.float(`,"sim_latency_ci95":`, true, &r.SimLatencyCI95)
+	d.integer(`,"sim_replications":`, true, &r.SimReplications)
+	d.boolean(`,"pareto":`, &r.Pareto)
+	d.key("}", false)
+	return d.ok && len(d.b) == 0
+}
+
+// recordReader reads the fields of AppendRecordJSON's layout in its
+// order from b, a valid JSON value (encoding/json hands UnmarshalJSON
+// nothing else). ok turns false at the first departure from the layout.
+// Reading the bytes directly, instead of through encoding/json's
+// reflection, is what keeps a chunk completion's decode cheap.
+type recordReader struct {
+	b  []byte
+	ok bool
+}
+
+// key consumes the literal k if it comes next and reports whether it
+// did; an absent k is a departure unless it is optional.
+func (d *recordReader) key(k string, optional bool) bool {
+	if d.ok && len(d.b) >= len(k) && string(d.b[:len(k)]) == k {
+		d.b = d.b[len(k):]
+		return true
 	}
-	if p := sp.Power; p != nil {
-		if err := finiteJSONFloat(p.MaxTxPowerDBm); err != nil {
-			return err
-		}
+	d.ok = d.ok && optional
+	return false
+}
+
+// number consumes a number's bytes: those up to the next ',' or '}'.
+func (d *recordReader) number() []byte {
+	i := 0
+	for i < len(d.b) && d.b[i] != ',' && d.b[i] != '}' {
+		i++
 	}
-	return nil
+	n := d.b[:i]
+	d.b = d.b[i:]
+	return n
+}
+
+// str, integer, float and boolean read the value of field k into v. An
+// optional field absent from b leaves v zero.
+func (d *recordReader) str(k string, optional bool, v *string) {
+	if !d.key(k, optional) {
+		return
+	}
+	i := 1
+	for i < len(d.b) && d.b[i] != '"' {
+		if d.b[i] == '\\' {
+			i++
+		}
+		i++
+	}
+	if len(d.b) == 0 || d.b[0] != '"' || i >= len(d.b) {
+		d.ok = false
+		return
+	}
+	s, quoted := d.b[1:i], d.b[:i+1]
+	d.b = d.b[i+1:]
+	if bytes.IndexByte(s, '\\') < 0 && utf8.Valid(s) {
+		*v = string(s)
+	} else {
+		d.ok = json.Unmarshal(quoted, v) == nil // escapes
+	}
+}
+
+func (d *recordReader) integer(k string, optional bool, v *int) {
+	if d.key(k, optional) {
+		n, err := strconv.Atoi(string(d.number()))
+		*v, d.ok = n, err == nil
+	}
+}
+
+func (d *recordReader) float(k string, optional bool, v *float64) {
+	if !d.key(k, optional) {
+		return
+	}
+	switch {
+	case d.key(`"NaN"`, true):
+		*v = math.NaN()
+	case d.key(`"+Inf"`, true):
+		*v = math.Inf(1)
+	case d.key(`"-Inf"`, true):
+		*v = math.Inf(-1)
+	default:
+		f, err := strconv.ParseFloat(string(d.number()), 64)
+		*v, d.ok = f, err == nil
+	}
+}
+
+func (d *recordReader) boolean(k string, v *bool) {
+	if d.key(k, false) {
+		*v = d.key("true", true)
+		d.ok = *v || d.key("false", false)
+	}
+}
+
+// spec reads appendSpecJSON's layout.
+func (d *recordReader) spec(sp *core.SystemSpec) {
+	d.integer(`{"Boards":`, false, &sp.Boards)
+	d.float(`,"BoardSpacingM":`, false, &sp.BoardSpacingM)
+	d.float(`,"BoardEdgeM":`, false, &sp.BoardEdgeM)
+	d.integer(`,"NodesPerBoard":`, false, &sp.NodesPerBoard)
+	d.float(`,"LinkRateGbps":`, false, &sp.LinkRateGbps)
+	d.integer(`,"LatencyBudgetBits":`, false, &sp.LatencyBudgetBits)
+	d.integer(`,"StackModules":`, false, &sp.StackModules)
+	d.float(`,"StackInjectionRate":`, false, &sp.StackInjectionRate)
+	d.boolean(`,"Butler":`, &sp.Butler)
+	d.float(`,"SNRMarginDB":`, false, &sp.SNRMarginDB)
+	if d.key(`,"traffic":`, true) {
+		sp.Traffic = new(core.TrafficSpec)
+		d.str(`{"pattern":`, false, &sp.Traffic.Pattern)
+		d.integer(`,"hotspot_module":`, false, &sp.Traffic.HotspotModule)
+		d.float(`,"hotspot_fraction":`, false, &sp.Traffic.HotspotFraction)
+		d.key("}", false)
+	}
+	if d.key(`,"interference":`, true) {
+		sp.Interference = new(core.InterferenceSpec)
+		d.integer(`{"neighbors":`, false, &sp.Interference.Neighbors)
+		d.boolean(`,"copper_boards":`, &sp.Interference.CopperBoards)
+		d.float(`,"rejection_db":`, false, &sp.Interference.RejectionDB)
+		d.key("}", false)
+	}
+	if d.key(`,"power":`, true) {
+		sp.Power = new(core.PowerSpec)
+		d.float(`{"max_tx_power_dbm":`, false, &sp.Power.MaxTxPowerDBm)
+		d.key("}", false)
+	}
+	d.key("}", false)
 }
 
 // appendSpecJSON appends json.Marshal(sp)'s bytes to dst. Records and
 // point keys both embed the spec, so this is the one encoder for it.
-// Callers have already run finiteSpec.
 func appendSpecJSON(dst []byte, sp core.SystemSpec) []byte {
 	// core.SystemSpec has no json tags on its scalar fields: keys are
 	// the Go field names.
@@ -172,21 +309,21 @@ func appendSpecJSON(dst []byte, sp core.SystemSpec) []byte {
 	return append(dst, '}')
 }
 
-// finiteJSONFloat rejects the floats encoding/json refuses, matching
-// its *UnsupportedValueError text so callers switching to this encoder
-// see familiar failures.
-func finiteJSONFloat(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return nil
-}
-
 // appendJSONFloat appends a float the way encoding/json does: shortest
 // round-trip form, 'f' format except for very small or very large
 // magnitudes, and a trimmed single-digit exponent ("1e-7", not
-// "1e-07"). Callers have already rejected NaN and infinities.
+// "1e-07"). NaN and infinities, which encoding/json refuses, are
+// spelled as the JSON strings "NaN", "+Inf" and "-Inf": the text
+// WriteCSV and the Prometheus exposition print for them.
 func appendJSONFloat(dst []byte, f float64) []byte {
+	switch {
+	case math.IsNaN(f):
+		return append(dst, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(dst, `"+Inf"`...)
+	case math.IsInf(f, -1):
+		return append(dst, `"-Inf"`...)
+	}
 	abs := math.Abs(f)
 	// Integral values below 1e15 (inside float64's exact-integer range)
 	// print as their integer digits; most spec knobs are integral.
@@ -276,20 +413,16 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendRecordsJSON appends a compact JSON array of recs — the
-// chunk-completion wire shape — to dst: json.Marshal(recs)'s bytes,
-// except that an empty or nil slice encodes as []. An unencodable
-// record's error names its Index.
-func AppendRecordsJSON(dst []byte, recs []Record) ([]byte, error) {
+// AppendRecordsJSON appends a compact JSON array of recs (the
+// chunk-completion wire shape) to dst: AppendRecordJSON per record,
+// and an empty or nil slice encodes as [].
+func AppendRecordsJSON(dst []byte, recs []Record) []byte {
 	dst = append(dst, '[')
 	for i, r := range recs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		var err error
-		if dst, err = AppendRecordJSON(dst, r); err != nil {
-			return dst, fmt.Errorf("record %d: %w", r.Index, err)
-		}
+		dst, _ = AppendRecordJSON(dst, r)
 	}
-	return append(dst, ']'), nil
+	return append(dst, ']')
 }

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -54,12 +57,18 @@ func columnarCorpus() []Record {
 	}
 }
 
+// plainRecord is Record without its JSON methods: json.Marshal of it
+// is encoding/json's own rendering of the struct, the reference the
+// columnar encoder is pinned to.
+type plainRecord Record
+
 // TestAppendRecordJSONMatchesMarshal pins the columnar encoder to
 // encoding/json byte for byte — the property that makes it safe to
-// swap into the store segment and wire paths.
+// swap into the store segment and wire paths — and checks that
+// Record's MarshalJSON and UnmarshalJSON are the codec and its inverse.
 func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
 	for i, r := range columnarCorpus() {
-		want, err := json.Marshal(r)
+		want, err := json.Marshal(plainRecord(r))
 		if err != nil {
 			t.Fatalf("record %d: marshal: %v", i, err)
 		}
@@ -70,6 +79,20 @@ func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("record %d: encoding mismatch\n got %s\nwant %s", i, got, want)
 		}
+		if viaMethod, err := json.Marshal(r); err != nil || !bytes.Equal(viaMethod, want) {
+			t.Errorf("record %d: json.Marshal(Record) = %s, %v; want %s", i, viaMethod, err, want)
+		}
+		var back Record
+		var ref plainRecord
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatalf("record %d: UnmarshalJSON: %v", i, err)
+		}
+		if err := json.Unmarshal(got, &ref); err != nil {
+			t.Fatalf("record %d: reference decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, Record(ref)) {
+			t.Errorf("record %d: UnmarshalJSON = %+v, encoding/json = %+v", i, back, ref)
+		}
 	}
 }
 
@@ -77,59 +100,97 @@ func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
 // chunk-completion bodies.
 func TestAppendRecordsJSONMatchesMarshal(t *testing.T) {
 	recs := columnarCorpus()
-	want, err := json.Marshal(recs)
+	plain := make([]plainRecord, len(recs))
+	for i, r := range recs {
+		plain[i] = plainRecord(r)
+	}
+	want, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendRecordsJSON(nil, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := AppendRecordsJSON(nil, recs); !bytes.Equal(got, want) {
 		t.Errorf("array encoding mismatch\n got %s\nwant %s", got, want)
 	}
 	// An empty chunk posts [], never null.
 	for _, empty := range [][]Record{nil, {}} {
-		if got, err := AppendRecordsJSON([]byte("x"), empty); err != nil || string(got) != "x[]" {
-			t.Errorf("empty records: got %q, %v; want \"x[]\"", got, err)
+		if got := AppendRecordsJSON([]byte("x"), empty); string(got) != "x[]" {
+			t.Errorf("empty records: got %q; want \"x[]\"", got)
 		}
 	}
 }
 
-// TestAppendRecordJSONRejectsNonFinite mirrors json.Marshal's refusal
-// of NaN and infinities, leaving dst untouched.
-func TestAppendRecordJSONRejectsNonFinite(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+// TestAppendRecordJSONSpellsNonFinite: NaN and infinities, in metric
+// and spec positions alike, encode as the strings "NaN", "+Inf" and
+// "-Inf" and decode back to the same class of value; no other string
+// decodes as a float.
+func TestAppendRecordJSONSpellsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		v     float64
+		spell string
+	}{{math.NaN(), `"NaN"`}, {math.Inf(1), `"+Inf"`}, {math.Inf(-1), `"-Inf"`}} {
 		for _, r := range []Record{
-			{BER: bad},
-			{Spec: core.SystemSpec{Traffic: &core.TrafficSpec{HotspotFraction: bad}}},
-			{Spec: core.SystemSpec{Interference: &core.InterferenceSpec{RejectionDB: bad}}},
-			{Spec: core.SystemSpec{Power: &core.PowerSpec{MaxTxPowerDBm: bad}}},
+			{BER: c.v},
+			{NoCSaturation: c.v},
+			{Spec: core.SystemSpec{LinkRateGbps: c.v}},
+			{Spec: core.SystemSpec{Traffic: &core.TrafficSpec{HotspotFraction: c.v}}},
+			{Spec: core.SystemSpec{Interference: &core.InterferenceSpec{RejectionDB: c.v}}},
+			{Spec: core.SystemSpec{Power: &core.PowerSpec{MaxTxPowerDBm: c.v}}},
 		} {
-			if _, err := json.Marshal(r); err == nil {
-				t.Fatalf("json.Marshal accepted %v", bad)
+			got, err := AppendRecordJSON([]byte("prefix"), r)
+			if err != nil || !bytes.HasPrefix(got, []byte("prefix{")) {
+				t.Fatalf("AppendRecordJSON(%v) = %q, %v", c.v, got, err)
 			}
-			dst := []byte("prefix")
-			out, err := AppendRecordJSON(dst, r)
-			if err == nil {
-				t.Fatalf("AppendRecordJSON accepted %v", bad)
+			got = got[len("prefix"):]
+			if !bytes.Contains(got, []byte(":"+c.spell)) {
+				t.Fatalf("%s lacks the spelling %s", got, c.spell)
 			}
-			if string(out) != "prefix" {
-				t.Fatalf("dst modified on error: %q", out)
+			var back Record
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatalf("decode %s: %v", got, err)
 			}
+			if again, _ := AppendRecordJSON(nil, back); !bytes.Equal(again, got) {
+				t.Fatalf("round trip changed the bytes\n got %s\nwant %s", again, got)
+			}
+		}
+	}
+	// The layout AppendRecordJSON writes is read indented too, as in a
+	// WriteJSON document; another layout decodes as encoding/json does,
+	// so there a float must be a number.
+	spelled := Record{Label: "x", NoCSaturation: math.Inf(1), Spec: core.SystemSpec{Power: &core.PowerSpec{MaxTxPowerDBm: math.NaN()}}}
+	indented, err := json.MarshalIndent(spelled, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Record
+	if err := json.Unmarshal(indented, &back); err != nil || !math.IsInf(back.NoCSaturation, 1) || !math.IsNaN(back.Spec.Power.MaxTxPowerDBm) {
+		t.Errorf("indented record: %+v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"label":"y","ber":0.5,"unknown":[1]}`), &back); err != nil || back.Label != "y" || back.BER != 0.5 {
+		t.Errorf("other layout: %+v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"label":"y","ber":"NaN"}`), &back); err == nil {
+		t.Errorf("other layout took a spelled float: %+v", back)
+	}
+	for _, bad := range []string{`"Inf"`, `"inf"`, `"+NaN"`, `"Infinity"`, `"1"`, `""`, `true`, `{}`, `1e999`} {
+		if err := json.Unmarshal([]byte(`{"ber":`+bad+`}`), new(Record)); err == nil {
+			t.Errorf("ber %s decoded", bad)
+		}
+		if err := json.Unmarshal([]byte(`{"spec":{"power":{"max_tx_power_dbm":`+bad+`}}}`), new(Record)); err == nil {
+			t.Errorf("max_tx_power_dbm %s decoded", bad)
 		}
 	}
 }
 
 // FuzzRecordColumnarRoundTrip drives records with fuzzer-chosen field
 // values — float bit patterns included, so NaN payloads, infinities,
-// negative zero and huge integers appear — through the JSON identity
-// against encoding/json, and the record's point through the Keyer
-// against the encoding/json PointKey.
+// negative zero and huge integers appear — through the codec: every
+// record's bytes decode and re-encode unchanged, and a finite record's
+// bytes equal encoding/json's. The record's point goes through the
+// Keyer against the encoding/json PointKey.
 func FuzzRecordColumnarRoundTrip(f *testing.F) {
 	f.Add("paper-grid", "label", "", "mesh", 3, 0.1, -3.75, uint64(0x3ff0000000000000), uint64(0), 4096, true, false)
 	f.Add("", "", "infeasible", "", -1, 1e-7, 1e21, uint64(0x7ff8000000000001), uint64(0xfff0000000000000), 0, false, true)
-	f.Add("esc<&> ", "q\"\\\x01", "bad\xff", "t", 42, 5e-324, math.MaxFloat64, uint64(0x8000000000000000), uint64(0x7ff0000000000000), -7, true, true)
+	f.Add("esc<&> ", "q\"\\\x01", "bad\xff", "t", 42, 5e-324, math.MaxFloat64, uint64(0x8000000000000000), uint64(0x7ff0000000000000), -7, true, true)
 	f.Fuzz(func(t *testing.T, scenario, label, errStr, topology string,
 		idx int, f1, f2 float64, bits1, bits2 uint64, cw int, butler, pareto bool) {
 		r := Record{
@@ -165,23 +226,37 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 			}
 			r.Spec.Power = &core.PowerSpec{MaxTxPowerDBm: math.Float64frombits(bits2 ^ 0xff)}
 		}
-		want, werr := json.Marshal(r)
-		got, gerr := AppendRecordJSON(nil, r)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error disagreement: json.Marshal err=%v, AppendRecordJSON err=%v", werr, gerr)
+		got, err := AppendRecordJSON(nil, r)
+		if err != nil {
+			t.Fatalf("AppendRecordJSON: %v", err)
 		}
+		want, werr := json.Marshal(plainRecord(r))
 		if werr == nil && !bytes.Equal(got, want) {
 			t.Fatalf("encoding mismatch\n got %s\nwant %s", got, want)
 		}
-		if werr == nil {
-			var back Record
-			if err := json.Unmarshal(got, &back); err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
+		// Invalid UTF-8 encodes as \ufffd but decodes to a raw U+FFFD,
+		// as with encoding/json, so the round trip runs on valid strings.
+		valid := func(s string) string { return strings.ToValidUTF8(s, "\uFFFD") }
+		r.Scenario, r.Label, r.Err, r.Topology = valid(scenario), valid(label), valid(errStr), valid(topology)
+		if r.Spec.Traffic != nil {
+			r.Spec.Traffic.Pattern = valid(label)
+		}
+		got, _ = AppendRecordJSON(got[:0], r)
+		var back Record
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatalf("decode %s: %v", got, err)
+		}
+		if again, _ := AppendRecordJSON(nil, back); !bytes.Equal(again, got) {
+			t.Fatalf("round trip changed the bytes\n got %s\nwant %s", again, got)
+		}
+		// A finite record decodes as encoding/json decodes the struct.
+		var ref plainRecord
+		if werr == nil && (json.Unmarshal(got, &ref) != nil || !reflect.DeepEqual(back, Record(ref))) {
+			t.Fatalf("decode of %s\n got %+v\nwant %+v", got, back, ref)
 		}
 
 		// The Keyer encodes the spec through the same encoder. Both key
-		// paths must agree on every encodable spec and both must refuse
+		// paths must agree on every finite spec and both must refuse
 		// (panic on) a non-finite one.
 		pt := Point{Index: r.Index, Label: r.Label, Spec: r.Spec}
 		seed := bits1 ^ bits2
@@ -190,6 +265,37 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 		if wantPanic != gotPanic || gotKey != wantKey {
 			t.Fatalf("keyer diverged from PointKey: got %q (panic %v), want %q (panic %v)",
 				gotKey, gotPanic, wantKey, wantPanic)
+		}
+	})
+}
+
+// FuzzRecordDecode feeds arbitrary bytes to the record decoder, which
+// reads remote workers' completion bodies: it must never panic, and a
+// record it accepts must re-encode to bytes that decode and re-encode
+// unchanged.
+func FuzzRecordDecode(f *testing.F) {
+	for _, r := range columnarCorpus() {
+		b, _ := AppendRecordJSON(nil, r)
+		f.Add(b)
+	}
+	f.Add([]byte(`{"noc_saturation":"+Inf","ber":"NaN","spec":{"BoardEdgeM":"-Inf","power":{"max_tx_power_dbm":"+Inf"}}}`))
+	f.Add([]byte(` {"INDEX": 3, "label": "\u00e9\ud800", "spec": null, "ber": 1E-400, "extra": [1, {"a": null}]} `))
+	f.Add([]byte(`{"ber":"Inf"}`))
+	f.Add([]byte(`{"ber":"NaN","tx_power_dbm":null,"spec":{"traffic":null,"power":{"max_tx_power_dbm":null}}}`))
+	f.Add([]byte(`{"label":"NaN\"Inf\"","ber":2}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Record
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		enc, _ := AppendRecordJSON(nil, r)
+		var back Record
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("accepted %q, but its encoding %s does not decode: %v", data, enc, err)
+		}
+		if again, _ := AppendRecordJSON(nil, back); !bytes.Equal(again, enc) {
+			t.Fatalf("accepted %q: re-encoding changed\n got %s\nwant %s", data, again, enc)
 		}
 	})
 }
@@ -203,4 +309,30 @@ func keyOrPanic(key func() string) (k string, panicked bool) {
 		}
 	}()
 	return key(), false
+}
+
+// BenchmarkRecordsDecode decodes a chunk-completion body of 8
+// paper-baseline records the way sweepd reads one: encoding/json into
+// a []Record, each element through Record.UnmarshalJSON.
+func BenchmarkRecordsDecode(b *testing.B) {
+	sc, err := Get("paper-baseline")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Run(context.Background(), sc, Config{Seed: 1, Budget: AnalyticBudget()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := append([]byte(`{"records":`), AppendRecordsJSON(nil, res.Records[:8])...)
+	body = append(body, '}')
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var req struct {
+			Records []Record `json:"records"`
+		}
+		if err := json.Unmarshal(body, &req); err != nil || len(req.Records) != 8 {
+			b.Fatalf("decoded %d records: %v", len(req.Records), err)
+		}
+	}
 }

@@ -52,9 +52,10 @@
 // reproduce those records exactly, because every sub-model's stream is
 // rng.New(seed).Split(hash of its content key) regardless of who
 // evaluates it or which points it shares a call with.
-// EvaluatePoints is that contract as an API: over the points of a Chunk
-// ([Start, End) of a scenario grid) it yields exactly the records Run
-// gives those indices. The service layer's dispatcher and
+// EvaluatePoints is that contract as an API: over any list of points
+// (the points of a Chunk the dispatcher cuts from a batch's dispatch
+// order, say) it yields exactly the records Run gives those points. The
+// service layer's dispatcher and
 // cmd/sweepworker build the distributed fleet on top — every lease
 // carries its points, so workers never rebuild a grid — and an N-worker
 // fleet's merged records are byte-identical to a single-node Run. See

@@ -38,15 +38,3 @@ func ExamplePareto_Mark() {
 	// low-power
 	// low-latency
 }
-
-// Chunks partitions a scenario grid into the contiguous work units the
-// distributed worker tier leases out one at a time.
-func ExampleChunks() {
-	for _, c := range sweep.Chunks(10, 4) {
-		fmt.Println(c)
-	}
-	// Output:
-	// [0,4)
-	// [4,8)
-	// [8,10)
-}

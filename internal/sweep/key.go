@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strconv"
+
+	"repro/internal/core"
 )
 
 // EngineVersion names the evaluation semantics of this package. Any
@@ -121,8 +124,8 @@ func NewKeyer(scenario string, b Budget, seed uint64) *Keyer {
 // context. A NaN or infinite spec float panics, as PointKey's
 // json.Marshal failure does.
 func (k *Keyer) Key(pt Point) string {
-	if err := finiteSpec(pt.Spec); err != nil {
-		panic("sweep: keyer point: " + err.Error())
+	if !finiteSpec(pt.Spec) {
+		panic("sweep: keyer point: spec has a NaN or infinite float")
 	}
 	var scratch [1024]byte
 	env := append(scratch[:0], k.head...)
@@ -136,4 +139,16 @@ func (k *Keyer) Key(pt Point) string {
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
 	return string(hx[:])
+}
+
+// finiteSpec reports whether every float of sp is finite. PointKey's
+// json.Marshal refuses the others, while appendSpecJSON would spell
+// them, so Key checks first.
+func finiteSpec(sp core.SystemSpec) bool {
+	ok := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	return ok(sp.BoardSpacingM) && ok(sp.BoardEdgeM) && ok(sp.LinkRateGbps) &&
+		ok(sp.StackInjectionRate) && ok(sp.SNRMarginDB) &&
+		(sp.Traffic == nil || ok(sp.Traffic.HotspotFraction)) &&
+		(sp.Interference == nil || ok(sp.Interference.RejectionDB)) &&
+		(sp.Power == nil || ok(sp.Power.MaxTxPowerDBm))
 }

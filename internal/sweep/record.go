@@ -50,12 +50,13 @@ type Record struct {
 	Pareto bool `json:"pareto"`
 }
 
-// WriteJSON emits the sweep result as indented JSON. Field order and
-// float formatting are fixed, so equal results are byte-identical.
-func WriteJSON(w io.Writer, res *Result) error {
+// WriteJSON emits a result document (a sweep's Result, an
+// optimization's) as indented JSON. Field order and float formatting
+// are fixed, so equal results are byte-identical.
+func WriteJSON(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+	return enc.Encode(doc)
 }
 
 // csvHeader fixes the CSV column order.

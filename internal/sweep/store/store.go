@@ -398,10 +398,8 @@ func (s *Store) put(key string, rec sweep.Record) bool {
 	line = append(line, `,"engine":`...)
 	line = strconv.AppendInt(line, int64(sweep.EngineVersion), 10)
 	line = append(line, `,"record":`...)
-	var merr error
-	if line, merr = sweep.AppendRecordJSON(line, rec); merr == nil {
-		line = append(line, '}', '\n')
-	}
+	line, _ = sweep.AppendRecordJSON(line, rec)
+	line = append(line, '}', '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.index[key]; dup {
@@ -412,10 +410,6 @@ func (s *Store) put(key string, rec sweep.Record) bool {
 	s.puts.Add(1)
 	s.indexDirty = true
 	if s.closed {
-		return true
-	}
-	if merr != nil {
-		s.writeErr = merr
 		return true
 	}
 	if s.active == nil || s.activeSize >= s.segLimit {

@@ -412,9 +412,9 @@ func TestPutDoesNotPinRecords(t *testing.T) {
 	}
 }
 
-// TestUnwrittenPutStaysResident: a record with no line on disk — put
-// into a closed store, or unencodable — is the only copy, so it stays
-// in memory and Get serves it.
+// TestUnwrittenPutStaysResident: a record put into a closed store has
+// no line on disk and is the only copy, so it stays in memory and Get
+// serves it.
 func TestUnwrittenPutStaysResident(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -429,20 +429,36 @@ func TestUnwrittenPutStaysResident(t *testing.T) {
 	if !ok || !bytes.Equal(recordLine(t, got), recordLine(t, rec)) || !resident(s, "after-close") {
 		t.Fatalf("put after close: Get = (%+v, %v), resident %v", got, ok, resident(s, "after-close"))
 	}
+}
 
-	s, err = Open(t.TempDir())
+// TestNonFiniteRecordPersists: a record holding NaN and infinities is
+// written like any other, closes cleanly and comes back from a reopened
+// store with the same bytes.
+func TestNonFiniteRecordPersists(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := testRecord(2)
-	bad.TxPowerDBm = math.NaN() // JSON cannot encode it: the write fails
-	s.Put("unencodable", bad)
-	got, ok = s.Get("unencodable")
-	if !ok || !math.IsNaN(got.TxPowerDBm) || !resident(s, "unencodable") {
-		t.Fatalf("unencodable put: Get = (%+v, %v), resident %v", got, ok, resident(s, "unencodable"))
+	rec := testRecord(2)
+	rec.TxPowerDBm, rec.NoCSaturation, rec.BER = math.NaN(), math.Inf(1), math.Inf(-1)
+	s.Put("non-finite", rec)
+	if resident(s, "non-finite") {
+		t.Fatal("written record still resident")
 	}
-	if err := s.Close(); err == nil {
-		t.Fatal("Close did not report the failed write")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, ok := s.Get("non-finite")
+	if !ok || !bytes.Equal(recordLine(t, got), recordLine(t, rec)) {
+		t.Fatalf("after reopen: Get = (%s, %v), want %s", recordLine(t, got), ok, recordLine(t, rec))
+	}
+	if !bytes.Contains(recordLine(t, got), []byte(`"noc_saturation":"+Inf"`)) {
+		t.Fatalf("record %s lacks the +Inf spelling", recordLine(t, got))
 	}
 }
 
